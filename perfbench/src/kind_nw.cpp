@@ -1,0 +1,14 @@
+#include "kind_impl.h"
+#include "problems/alignment.h"
+
+namespace perfbench {
+namespace {
+struct Traits {
+  using P = lddp::problems::NeedlemanWunschProblem;
+  static Made<P> make(std::size_t side, std::uint64_t seed) {
+    return sequence_pair<P>(side, seed);
+  }
+};
+}  // namespace
+const KindOps& ops_nw() { return KindImpl<Traits>::ops(); }
+}  // namespace perfbench
