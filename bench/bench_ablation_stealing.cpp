@@ -1,39 +1,40 @@
-// Ablation: work-stealing executor versus the static fork/join pools.
-// This bench measures *real wall-clock* — the substrate changes how fast
-// the host retires fronts, never the simulated schedule (results and
-// recorded timelines are bit-identical across schedules by contract;
+// Ablation: the work-stealing executor versus inline execution and versus
+// per-solve private pools. This bench measures *real wall-clock* — the
+// executor changes how fast the host retires fronts, never the simulated
+// schedule (results and recorded timelines are bit-identical by contract;
 // tests/test_stealing_executor.cpp holds that line).
 //
 // Three measurements; (b) and (c) are gated (nonzero exit on regression
 // so the perf-smoke CI job catches it):
 //
 //  (a) Ragged solo solves: anti-diagonal Levenshtein 1k..8k in
-//      Mode::kCpuParallel, static 4-thread pool vs the shared stealing
+//      Mode::kCpuParallel, inline (no pool) vs the shared stealing
 //      executor. Recorded, not gated — front lengths grow 1..n..1, so
 //      the share of fronts crossing the parallel-dispatch threshold (and
-//      with it the substrate's influence) rises with n.
-//  (b) Mixed-size batch of 16 (four 4k-wide + twelve 256): the batch
-//      engine with threads_per_solve=4 and 4 slots, legacy private
-//      per-slot pools vs the shared stealing executor (the cooperative
-//      pool is recorded as a third arm for context). The big solves use
-//      a horizontal-pattern synthetic (every front is 4096 cells wide)
-//      so each front actually reaches the substrate; 4k *anti-diagonal*
-//      tables would cross the dispatch threshold on only ~3 of 8k fronts
-//      and measure nothing. They are also sized ABOVE kLaneMaxCells —
-//      lane-eligible solves execute as interleaved SIMD scans and never
-//      touch the pool substrate at all. Private pools oversubscribe whenever
-//      slots x threads_per_solve exceeds the machine; stealing right-
-//      sizes ONE shared executor to the hardware. Gate: stealing
-//      achieves >= 1.25x solves/second over the private-pool substrate.
+//      with it the executor's influence) rises with n.
+//  (b) Mixed-size batch of 16 (four 1024x4096 wide + twelve 256), 4
+//      slots x 4 threads per solve: a private-pool baseline built here —
+//      4 plain std::thread slots draining the batch, each slot with its
+//      own cpu::ThreadPool(4), 16 host threads in all — vs the batch
+//      engine's ONE shared executor sized to the hardware. The big solves
+//      use a horizontal-pattern synthetic (every front is 4096 cells
+//      wide) so each front actually reaches the executor; 4k
+//      *anti-diagonal* tables would cross the dispatch threshold on only
+//      ~3 of 8k fronts and measure nothing. Both arms run every request
+//      as its own solve (engine lane packing off). Gate: the shared
+//      executor achieves >= 1.25x solves/second over private pools.
 //      Arms run interleaved so host drift cannot pick the winner.
 //  (c) Uniform small fronts: Levenshtein 1024 solo (every front below
-//      the dispatch threshold, so both substrates run inline). Gate:
-//      stealing is never worse than 1.05x static wall-clock — the
-//      executor must cost nothing when it is not used.
+//      the dispatch threshold). Gate: stealing is never worse than 1.05x
+//      inline wall-clock — the executor must cost nothing when it is not
+//      used.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
@@ -69,69 +70,111 @@ auto make_wide_problem(std::size_t rows, std::size_t cols,
       });
 }
 
-/// (a) Ragged solo solves, static pool vs stealing executor.
+/// (a) Ragged solo solves, inline vs stealing executor.
 void solo_ragged(lddp::bench::JsonWriter& json) {
   std::printf("=== (a) Ragged anti-diagonal solo solves, CPU parallel "
               "(wall ms, best of 2) ===\n");
-  std::printf("%8s %12s %12s %9s\n", "n", "static", "stealing", "ratio");
-  cpu::ThreadPool static_pool(4);
+  std::printf("%8s %12s %12s %9s\n", "n", "inline", "stealing", "ratio");
   sim::BufferPool buffers;
   for (const std::size_t n : {1024u, 2048u, 4096u, 8192u}) {
     const problems::LevenshteinProblem p(random_dna(n, 2 * n),
                                          random_dna(n, 2 * n + 1));
-    RunConfig cfg;
-    cfg.mode = Mode::kCpuParallel;
-    cfg.buffer_pool = &buffers;
+    RunConfig in;
+    in.mode = Mode::kCpuParallel;
+    in.buffer_pool = &buffers;
+    const double wall_inline = lddp::bench::min_wall_seconds(
+        [&] { solve(p, in); }, /*reps=*/2, /*warmup=*/1);
 
-    RunConfig st = cfg;
-    st.schedule = cpu::Schedule::kStatic;
-    st.pool = &static_pool;
-    const double wall_static = lddp::bench::min_wall_seconds(
-        [&] { solve(p, st); }, /*reps=*/2, /*warmup=*/1);
-
-    RunConfig wk = cfg;
+    RunConfig wk = in;
     wk.schedule = cpu::Schedule::kStealing;
     const double wall_steal = lddp::bench::min_wall_seconds(
         [&] { solve(p, wk); }, /*reps=*/2, /*warmup=*/1);
 
-    std::printf("%8zu %12.3f %12.3f %8.2fx\n", n, wall_static * 1e3,
-                wall_steal * 1e3, wall_static / wall_steal);
-    json.record_wall("solo_ragged/static", n, wall_static * 1e3);
+    std::printf("%8zu %12.3f %12.3f %8.2fx\n", n, wall_inline * 1e3,
+                wall_steal * 1e3, wall_inline / wall_steal);
+    json.record_wall("solo_ragged/inline", n, wall_inline * 1e3);
     json.record_wall("solo_ragged/stealing", n, wall_steal * 1e3);
   }
 }
 
-/// One mixed batch through the engine; returns wall seconds for the batch.
-/// `worker_threads` is pinned to 4 so the contrast under test exists even
-/// on small hosts: the static substrate gives each of the 4 slots a
-/// private threads_per_solve pool (16 threads — oversubscribed whenever
-/// the machine has fewer cores), while the stealing substrate sizes ONE
-/// shared executor to min(hardware, slots x threads_per_solve).
-double batch_wall_once(cpu::Schedule schedule, bool pack) {
-  // 1024x4096 = 4M cells: over detail::kLaneMaxCells, so the big solves
-  // take the job->run path and actually exercise the slot's substrate.
-  static auto big = make_wide_problem(1024, 4096, 7);
-  static problems::LevenshteinProblem small(random_dna(256, 5),
-                                            random_dna(256, 6));
+/// The (b) batch: four wide solves, then twelve small ones.
+constexpr int kBigSolves = 4;
+constexpr int kBatchSolves = 16;
+constexpr int kSlots = 4;
+constexpr std::size_t kThreadsPerSolve = 4;
+
+// 1024x4096 = 4M cells: over detail::kLaneMaxCells, so even with lane
+// packing on the big solves would take the per-solve path.
+const auto& big_problem() {
+  static const auto big = make_wide_problem(1024, 4096, 7);
+  return big;
+}
+
+const problems::LevenshteinProblem& small_problem() {
+  static const problems::LevenshteinProblem small(random_dna(256, 5),
+                                                  random_dna(256, 6));
+  return small;
+}
+
+double batch_cells() {
+  return kBigSolves * static_cast<double>(big_problem().rows() *
+                                          big_problem().cols()) +
+         (kBatchSolves - kBigSolves) *
+             static_cast<double>(small_problem().rows() *
+                                 small_problem().cols());
+}
+
+/// Private-pool baseline: kSlots plain threads drain the batch in order,
+/// each solving on its own kThreadsPerSolve-thread pool — kSlots x
+/// kThreadsPerSolve host threads, oversubscribed whenever the machine has
+/// fewer cores. Returns wall seconds for the batch.
+double private_pools_once() {
+  std::atomic<int> next{0};
+  Stopwatch timer;
+  std::vector<std::thread> slots;
+  for (int s = 0; s < kSlots; ++s)
+    slots.emplace_back([&next] {
+      cpu::ThreadPool pool(kThreadsPerSolve);
+      RunConfig rc;
+      rc.mode = Mode::kCpuParallel;
+      rc.pool = &pool;
+      for (int k = next.fetch_add(1); k < kBatchSolves;
+           k = next.fetch_add(1)) {
+        if (k < kBigSolves)
+          solve(big_problem(), rc);
+        else
+          solve(small_problem(), rc);
+      }
+    });
+  for (auto& t : slots) t.join();
+  return timer.seconds();
+}
+
+/// The same batch through the engine, whose kSlots slots share ONE
+/// executor sized to min(hardware, slots x threads_per_solve). Returns
+/// wall seconds for the batch.
+double shared_executor_once() {
   Stopwatch timer;
   {
     BatchConfig bc;
-    bc.schedule = schedule;
-    bc.pack_solves = pack;
-    bc.threads_per_solve = 4;
-    bc.concurrency = 4;
-    bc.worker_threads = 4;
+    bc.pack_solves = false;
+    bc.lane_pack = 0;
+    bc.threads_per_solve = kThreadsPerSolve;
+    bc.concurrency = kSlots;
+    bc.worker_threads = kSlots;
     BatchEngine engine(bc);
     RunConfig rc;
     rc.mode = Mode::kCpuParallel;
-    std::vector<std::future<SolveResult<decltype(big)>>> big_futs;
-    std::vector<std::future<SolveResult<decltype(small)>>> small_futs;
-    for (int k = 0; k < 4; ++k) {
-      auto f = engine.submit(big, rc);
+    using Big = std::decay_t<decltype(big_problem())>;
+    std::vector<std::future<SolveResult<Big>>> big_futs;
+    std::vector<std::future<SolveResult<problems::LevenshteinProblem>>>
+        small_futs;
+    for (int k = 0; k < kBigSolves; ++k) {
+      auto f = engine.submit(big_problem(), rc);
       if (f.has_value()) big_futs.push_back(std::move(*f));
     }
-    for (int k = 0; k < 12; ++k) {
-      auto f = engine.submit(small, rc);
+    for (int k = kBigSolves; k < kBatchSolves; ++k) {
+      auto f = engine.submit(small_problem(), rc);
       if (f.has_value()) small_futs.push_back(std::move(*f));
     }
     engine.wait();
@@ -141,47 +184,33 @@ double batch_wall_once(cpu::Schedule schedule, bool pack) {
   return timer.seconds();
 }
 
-/// (b) Mixed-size batch, gated >= 1.25x against the legacy private-pool
-/// substrate. Three arms:
-///   * private  — schedule=static, pack_solves=off: every slot owns a
-///     threads_per_solve pool. This is the substrate the stealing
-///     executor replaces, and the GATED baseline.
-///   * coop     — schedule=static, pack_solves=on: the cooperative
-///     single-pool time-share (recorded for context, not gated — it also
-///     flips on cross-solve lane packing, so it is not a pure substrate
-///     comparison).
-///   * stealing — pack_solves=off so it differs from `private` in the
-///     substrate ONLY.
-/// The arms are measured INTERLEAVED (private, coop, stealing, private,
-/// ...) and each takes its best rep: host-level drift across the run
-/// (frequency scaling, noisy neighbours, allocator state) then biases
-/// every arm equally instead of whichever happened to run last.
+/// (b) Mixed-size batch, gated >= 1.25x against private pools. The arms
+/// are measured INTERLEAVED and each takes its best rep: host-level drift
+/// across the run (frequency scaling, noisy neighbours, allocator state)
+/// then biases both arms equally instead of whichever ran last.
 void batch_mixed(lddp::bench::JsonWriter& json) {
   std::printf("\n=== (b) Mixed batch of 16 (four 1024x4096 wide + twelve "
-              "256), threads_per_solve=4, 4 slots ===\n");
+              "256), %zu threads per solve, %d slots ===\n",
+              kThreadsPerSolve, kSlots);
   constexpr int kReps = 4;
-  double wall_pr = 1e300, wall_co = 1e300, wall_wk = 1e300;
-  batch_wall_once(cpu::Schedule::kStatic, false);   // warm every substrate
-  batch_wall_once(cpu::Schedule::kStatic, true);    // (and the problem
-  batch_wall_once(cpu::Schedule::kStealing, false); // tables)
+  double wall_pr = 1e300, wall_wk = 1e300;
+  private_pools_once();  // warm both arms (and the problem tables)
+  shared_executor_once();
   for (int rep = 0; rep < kReps; ++rep) {
-    wall_pr = std::min(wall_pr,
-                       batch_wall_once(cpu::Schedule::kStatic, false));
-    wall_co = std::min(wall_co,
-                       batch_wall_once(cpu::Schedule::kStatic, true));
-    wall_wk = std::min(wall_wk,
-                       batch_wall_once(cpu::Schedule::kStealing, false));
+    wall_pr = std::min(wall_pr, private_pools_once());
+    wall_wk = std::min(wall_wk, shared_executor_once());
   }
-  const double pr = 16.0 / wall_pr;
-  const double co = 16.0 / wall_co;
-  const double wk = 16.0 / wall_wk;
-  const double speedup = pr > 0.0 ? wk / pr : 0.0;
-  std::printf("private %8.2f solves/s | coop %8.2f solves/s | stealing "
-              "%8.2f solves/s | stealing/private %.2fx\n",
-              pr, co, wk, speedup);
-  json.record_wall("batch_mixed/private_pools", 16, wall_pr * 1e3, pr);
-  json.record_wall("batch_mixed/coop_pool", 16, wall_co * 1e3, co);
-  json.record_wall("batch_mixed/stealing", 16, wall_wk * 1e3, wk);
+  const double pr = kBatchSolves / wall_pr;
+  const double wk = kBatchSolves / wall_wk;
+  const double speedup = wk / pr;
+  std::printf("private %8.2f solves/s | shared executor %8.2f solves/s | "
+              "shared/private %.2fx\n",
+              pr, wk, speedup);
+  const double cells = batch_cells();
+  json.record_wall("batch_mixed/private_pools", kBatchSolves, wall_pr * 1e3,
+                   cells / wall_pr);
+  json.record_wall("batch_mixed/stealing", kBatchSolves, wall_wk * 1e3,
+                   cells / wall_wk);
   if (speedup < 1.25) {
     std::fprintf(stderr,
                  "GATE FAIL: mixed-batch stealing speedup %.2fx < 1.25x "
@@ -197,31 +226,26 @@ void small_fronts_never_worse(lddp::bench::JsonWriter& json) {
               "front below the dispatch threshold) ===\n");
   const problems::LevenshteinProblem p(random_dna(1024, 21),
                                        random_dna(1024, 22));
-  cpu::ThreadPool static_pool(4);
   sim::BufferPool buffers;
-  RunConfig cfg;
-  cfg.mode = Mode::kCpuParallel;
-  cfg.buffer_pool = &buffers;
+  RunConfig in;
+  in.mode = Mode::kCpuParallel;
+  in.buffer_pool = &buffers;
+  const double wall_inline = lddp::bench::min_wall_seconds(
+      [&] { solve(p, in); }, /*reps=*/5, /*warmup=*/2);
 
-  RunConfig st = cfg;
-  st.schedule = cpu::Schedule::kStatic;
-  st.pool = &static_pool;
-  const double wall_static = lddp::bench::min_wall_seconds(
-      [&] { solve(p, st); }, /*reps=*/5, /*warmup=*/2);
-
-  RunConfig wk = cfg;
+  RunConfig wk = in;
   wk.schedule = cpu::Schedule::kStealing;
   const double wall_steal = lddp::bench::min_wall_seconds(
       [&] { solve(p, wk); }, /*reps=*/5, /*warmup=*/2);
 
-  const double ratio = wall_steal / wall_static;
-  std::printf("static %.3f ms | stealing %.3f ms | ratio %.3f\n",
-              wall_static * 1e3, wall_steal * 1e3, ratio);
-  json.record_wall("small_fronts/static", 1024, wall_static * 1e3);
+  const double ratio = wall_steal / wall_inline;
+  std::printf("inline %.3f ms | stealing %.3f ms | ratio %.3f\n",
+              wall_inline * 1e3, wall_steal * 1e3, ratio);
+  json.record_wall("small_fronts/inline", 1024, wall_inline * 1e3);
   json.record_wall("small_fronts/stealing", 1024, wall_steal * 1e3);
   if (ratio > 1.05) {
     std::fprintf(stderr,
-                 "GATE FAIL: stealing %.2fx slower than static on small "
+                 "GATE FAIL: stealing %.2fx slower than inline on small "
                  "fronts (limit 1.05x)\n",
                  ratio);
     ++failures;

@@ -59,9 +59,8 @@ inline Mode resolve_auto(Mode mode, std::size_t cells) {
                                        : Mode::kHeterogeneous;
 }
 
-/// RunConfig::schedule resolution for solo solves: kStealing swaps in the
-/// process-wide stealing facade; kStatic/kAuto keep cfg.pool verbatim
-/// (null included), preserving the legacy inline behaviour bit-for-bit.
+/// RunConfig::schedule resolution: kStealing swaps in the process-wide
+/// shared executor; kAuto keeps cfg.pool verbatim (null runs inline).
 inline cpu::ThreadPool* resolve_pool(const RunConfig& cfg) {
   return cfg.schedule == cpu::Schedule::kStealing
              ? &cpu::shared_stealing_pool()

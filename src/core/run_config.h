@@ -83,14 +83,12 @@ struct RunConfig {
   /// Optional host pool for real execution; null runs everything on the
   /// calling thread (simulated timings are identical either way).
   cpu::ThreadPool* pool = nullptr;
-  /// CPU execution substrate for real (host) work. kStealing routes every
+  /// Which executor runs real (host) work. kStealing routes every
   /// parallel front through the process-wide work-stealing executor
-  /// (cpu::shared_stealing_pool()), overriding `pool`; kStatic and kAuto
-  /// keep `pool` exactly as given — a null pool stays inline, so existing
-  /// configurations are byte-for-byte unchanged. The batch engine resolves
-  /// kAuto to kStealing at the engine level and overrides this field with
-  /// its own substrate decision for admitted requests. Results are
-  /// bit-identical across schedules; only host wall-clock changes.
+  /// (cpu::shared_stealing_pool()), overriding `pool`; kAuto keeps `pool`
+  /// exactly as given — a null pool stays inline. The batch engine hands
+  /// admitted requests its own pool and pins this field to kAuto. Results
+  /// are bit-identical across schedules; only host wall-clock changes.
   cpu::Schedule schedule = cpu::Schedule::kAuto;
   /// Optional device/pinned-host buffer pool; repeated solve() calls then
   /// reuse arenas instead of re-allocating per run. Must outlive the call.
@@ -111,8 +109,7 @@ struct RunConfig {
   /// Cross-solve packing eligibility when this request runs through the
   /// BatchEngine: the batch merger may fuse this solve's co-ready GPU
   /// fronts / DMA descriptors with those of co-resident solves into one
-  /// multi-tenant packed launch (and co-schedule its CPU strips on the
-  /// shared cooperative pool). -1 defers to BatchConfig::pack_solves
+  /// multi-tenant packed launch. -1 defers to BatchConfig::pack_solves
   /// (default on in batch mode), 0 opts this request out, 1 opts it in.
   /// Solo solve() ignores the flag — there is nothing to pack with.
   /// Results are bit-identical; only the merged simulated timing changes.

@@ -72,10 +72,8 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
   auto addr = [&table](std::size_t i, std::size_t j) {
     return &table.at(i, j);
   };
-  // Workers stay resident in the strip barrier across fronts (real
-  // execution only); the simulated pricing below remains the paper's
-  // fork/join-per-front OpenMP baseline.
-  cpu::StripSession strips(platform.pool());
+  // The simulated pricing below is the paper's fork/join-per-front OpenMP
+  // baseline, whatever executor runs the fronts for real.
   sim::Platform::CpuFrontOpts opts;
   opts.mem_amplification = mem_amplification;
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {

@@ -22,8 +22,8 @@ inline void cpu_relax() {
 /// execution — correctness is unaffected, only parallelism.
 constexpr std::size_t kMasterSlots = 64;
 
-/// Historical spin budget (thread_pool.cpp's kStripSpinIters) — the
-/// LDDP_SPIN_US default resolves to exactly this.
+/// Historical spin budget — the LDDP_SPIN_US default resolves to exactly
+/// this.
 constexpr int kDefaultSpinIters = 4096;
 
 /// ~100 pause iterations per microsecond on contemporary x86 (a pause is
@@ -37,8 +37,6 @@ std::atomic<std::uint64_t> g_next_exec_id{1};
 
 std::string to_string(Schedule s) {
   switch (s) {
-    case Schedule::kStatic:
-      return "static";
     case Schedule::kStealing:
       return "stealing";
     case Schedule::kAuto:
@@ -63,8 +61,12 @@ int idle_spin_iters() {
 StealingExecutor::StealingExecutor(std::size_t num_workers)
     : exec_id_(g_next_exec_id.fetch_add(1, std::memory_order_seq_cst)),
       num_worker_slots_(num_workers) {
-  slots_.reserve(num_workers + kMasterSlots);
-  for (std::size_t s = 0; s < num_workers + kMasterSlots; ++s)
+  // A workerless executor runs every region inline and never touches a
+  // deque, so it skips the master slots (~200 KiB each).
+  const std::size_t nslots =
+      num_workers == 0 ? 0 : num_workers + kMasterSlots;
+  slots_.reserve(nslots);
+  for (std::size_t s = 0; s < nslots; ++s)
     slots_.push_back(std::make_unique<Slot>());
   workers_.reserve(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w)
@@ -83,8 +85,8 @@ StealingExecutor::~StealingExecutor() {
 
 void StealingExecutor::wake_workers() {
   // The empty critical section orders the notify against a worker that is
-  // between its predicate check and its wait (same pattern as the strip
-  // barrier); callers bump work_epoch_ first.
+  // between its predicate check and its wait; callers bump work_epoch_
+  // first.
   {
     std::lock_guard<std::mutex> lock(park_mu_);
   }

@@ -1,22 +1,24 @@
-// Work-stealing CPU task runtime — the demand-driven alternative to the
-// ThreadPool's OpenMP-style static worksharing.
+// Work-stealing CPU task runtime — the one real-execution substrate.
 //
 // The paper's CPU side is `schedule(static)` block-per-thread chunking;
-// on the fronts this framework cares about (ragged anti-diagonal ramps,
-// tiny t_switch-region fronts, mixed-size batches) static chunks leave
-// cores idle behind the slowest block. This executor implements the
-// standard fix for irregular wavefront work: per-worker Chase–Lev deques
-// with a lock-free steal path, lazy binary splitting of each parallel
-// region ("split on steal" — short fronts stay a single task and pay no
-// scheduling overhead), and a spin-then-park idle protocol shared with
-// the strip-session barrier (LDDP_SPIN_US tunes both).
+// this framework keeps that model as the simulated *price* of a CPU front
+// (cpu::cpu_front_seconds) but executes on demand-driven work stealing,
+// the single-queue-per-worker substrate Teodoro et al. use for irregular
+// wavefronts. On the fronts this framework cares about (ragged
+// anti-diagonal ramps, tiny t_switch-region fronts, mixed-size batches)
+// static chunks leave cores idle behind the slowest block. This executor
+// uses per-worker Chase–Lev deques with a lock-free steal path, lazy
+// binary splitting of each parallel region ("split on steal" — short
+// fronts stay a single task and pay no scheduling overhead), and a
+// spin-then-park idle protocol (LDDP_SPIN_US tunes the spin). Every
+// cpu::ThreadPool is a handle over one of these.
 //
-// Determinism contract (the reason this file can replace the static path
-// without perturbing any recorded schedule or chaos replay):
-//  * Results are bit-identical to the static path: every front body this
+// Determinism contract (the reason the substrate never perturbs a
+// recorded schedule or chaos replay):
+//  * Results are bit-identical to serial execution: every front body this
 //    framework dispatches is chunk-boundary-insensitive (cells depend only
 //    on earlier fronts), so any partition of [begin, end) computes the
-//    same table. The executor only changes the partition.
+//    same table. The executor only chooses the partition.
 //  * The morsel (leaf-task) set of a region is a pure function of
 //    (begin, end, grain): splits always halve at a 16-cell-aligned
 //    midpoint, whether the upper half is pushed, stolen, or executed
@@ -46,29 +48,20 @@
 
 namespace lddp::cpu {
 
-/// Which execution substrate CPU work runs on.
-///  * kStatic — the legacy ThreadPool: OpenMP-style static chunks,
-///    per-solve private pools (or one cooperative pool) in batch mode.
-///  * kStealing — the work-stealing executor: adaptive morsels, one
-///    shared executor across all in-flight solves.
-///  * kAuto — the framework default: solo solve() keeps whatever
-///    RunConfig::pool says (legacy behaviour); the batch engine resolves
-///    kAuto to kStealing.
-enum class Schedule { kStatic, kStealing, kAuto };
+/// Which executor a solo solve's CPU work runs on.
+///  * kAuto — use RunConfig::pool verbatim (a null pool runs inline).
+///  * kStealing — route through the process-wide shared executor
+///    (shared_stealing_pool()), overriding RunConfig::pool.
+/// The batch engine always hands its requests the engine-owned executor
+/// (or none) and pins them to kAuto.
+enum class Schedule { kAuto, kStealing };
 
 std::string to_string(Schedule s);
-
-/// The batch-engine / executor-level resolution of kAuto (the stealing
-/// substrate). Solo solve() intentionally does NOT use this — a null-pool
-/// solo solve under kAuto stays inline, unchanged from previous releases.
-inline Schedule resolve_schedule(Schedule s) {
-  return s == Schedule::kAuto ? Schedule::kStealing : s;
-}
 
 /// Idle spin budget (in pause iterations) before a waiting worker parks
 /// on a condvar. Tunable via LDDP_SPIN_US (microseconds, ~100 pauses/us);
 /// unset keeps the historical constant (4096 iterations). Read once at
-/// first use; shared by the strip-session barrier and this executor.
+/// first use.
 int idle_spin_iters();
 
 class StealingExecutor;
@@ -191,8 +184,8 @@ struct RegionCore {
 }  // namespace steal_detail
 
 /// The executor: `num_workers` dedicated threads plus every submitting
-/// master. Unlike ThreadPool there is no master arbitration — any number
-/// of threads may run parallel_region() concurrently (each gets its own
+/// master. There is no master arbitration — any number of threads may
+/// run parallel_region() concurrently (each gets its own
 /// deque slot), which is what lets one process-wide executor serve all
 /// in-flight solves of a batch: a finishing solve's workers immediately
 /// drain the deques of the solves still running.
@@ -206,9 +199,8 @@ class StealingExecutor {
   static constexpr std::size_t kMinGrain = 1024;
 
   /// `num_workers` may be 0: every region then runs inline on the
-  /// submitting thread (the right sizing on a saturated host — the
-  /// batch engine uses this to avoid oversubscription instead of
-  /// spinning per-solve pools against each other).
+  /// submitting thread and no deques are allocated (a ThreadPool(1), or
+  /// a batch engine whose slot threads already saturate the host).
   explicit StealingExecutor(std::size_t num_workers);
   ~StealingExecutor();
 

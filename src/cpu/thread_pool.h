@@ -1,229 +1,68 @@
-// Persistent worker pool replacing the paper's OpenMP 3.0 usage.
+// Host thread-pool handle over the work-stealing executor.
 //
 // The paper creates "a few heavy-weight threads where each thread is
-// responsible for processing a group of cells" (Section IV-A). This pool
-// provides exactly that model: workers are created once and reused across
-// wavefront iterations (CP.41: minimize thread creation/destruction), and
-// `parallel_for` hands each worker one static chunk per call, mirroring
-// OpenMP's `schedule(static)`.
-//
-// Two dispatch mechanisms share the workers:
-//  * fork/join — the default: each parallel region wakes the workers
-//    through a condvar and joins them through another (OpenMP-style).
-//  * strip sessions — while a StripSession is active, workers stay
-//    resident in a generation-counted spin-then-park barrier and each
-//    region is one barrier round. This removes the two condvar round
-//    trips per wavefront that dominate small fronts, implementing the
-//    paper's persistent-thread model for real.
+// responsible for processing a group of cells" (Section IV-A) and shares
+// fronts out with OpenMP's `schedule(static)`. Here that static
+// worksharing is a cost-model price (cpu::cpu_front_seconds); real host
+// execution always runs on cpu::StealingExecutor. A ThreadPool is the
+// handle the framework passes around: it either owns an executor or
+// borrows one.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <memory>
 
 #include "cpu/stealing_executor.h"
-#include "util/check.h"
-#include "util/fault_injection.h"
 
 namespace lddp::cpu {
 
-/// Fixed-size pool executing fork/join style parallel regions.
-///
 /// Usage:
 ///   ThreadPool pool(6);
 ///   pool.parallel_for(0, n, [&](std::size_t i) { ... });
 ///
-/// Thread-safety: any number of threads may drive the pool; an internal
-/// master arbitration serializes them, so concurrent parallel regions —
-/// and concurrent StripSessions, which hold mastership for their whole
-/// lifetime — execute one after another rather than racing (two solves
-/// sharing default_pool() are safe, merely not parallel with each other;
-/// the batch engine gives each in-flight solve its own pool when real
-/// overlap is wanted). Within one master, regions still do not nest
-/// (matching the paper's flat OpenMP usage). Worker exceptions are
-/// captured and rethrown on the master.
+/// Thread-safety: any number of threads may drive one handle concurrently
+/// (the executor gives each its own deque); regions do not nest. Body
+/// exceptions are captured and the first one is rethrown on the caller.
 class ThreadPool {
  public:
-  /// `coop_strips` enables *cooperative strip sessions*: a strip session
-  /// still owns the pool, but between fronts it checks for other threads
-  /// blocked on mastership and, if any, bounces its session (end + begin)
-  /// so a co-resident driver gets the workers for its own front. This lets
-  /// N concurrent solves time-share ONE pool at front granularity instead
-  /// of either serializing whole solves or oversubscribing the host with
-  /// N private pools — the batch engine's packed CPU co-scheduling.
-  explicit ThreadPool(std::size_t num_threads, bool coop_strips = false);
+  /// Owns an executor with `num_threads - 1` workers; the calling thread
+  /// is the last one. `num_threads` must be at least 1.
+  explicit ThreadPool(std::size_t num_threads);
 
-  /// Facade over a work-stealing executor (Schedule::kStealing): the pool
-  /// owns no threads of its own — every parallel region routes to
-  /// `exec`'s morsel-stealing runtime, strip sessions are no-ops (the
-  /// executor needs no persistent barrier; regions from any number of
-  /// concurrent masters interleave freely), and there is no master
-  /// arbitration. Lets every existing call site — strategies, platform,
-  /// batch engine — switch substrate without code changes. `exec` must
-  /// outlive the pool.
+  /// Borrows `exec`, which must outlive the handle.
   explicit ThreadPool(StealingExecutor* exec);
-  ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const {
-    return exec_ != nullptr ? exec_->size() : workers_.size() + 1;
-  }
+  /// Threads that can execute region work: workers + the caller.
+  std::size_t size() const { return exec_->size(); }
 
-  /// The stealing executor behind this pool, or null for a classic
-  /// static-chunking pool.
-  StealingExecutor* stealing() const { return exec_; }
-
-  /// Runs body(i) for every i in [begin, end), statically chunked across
-  /// all threads (workers + the calling thread). Blocks until every
-  /// iteration has completed. Rethrows the first worker exception.
+  /// Runs body(i) for every i in [begin, end) and blocks until all have
+  /// run. A range of at most StealingExecutor::kMinGrain items runs inline
+  /// on the caller as one task, so a front of a few hundred tiles does not
+  /// fan out; longer ranges split into morsels across the executor.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
-  /// Chunked variant: body(chunk_begin, chunk_end) once per chunk — lets
-  /// hot loops avoid a std::function call per cell. Inside an active strip
-  /// session this dispatches through the persistent-strip barrier. On a
-  /// stealing facade, `grain` is the adaptive morsel size in cells
-  /// (0 = executor default, typically computed by the caller from the
-  /// calibrated per-cell cost model); static pools chunk one block per
-  /// thread regardless and ignore it.
+  /// Chunked variant: body(lo, hi) once per morsel, so hot loops avoid a
+  /// std::function call per cell. `grain` is the target morsel size in
+  /// items (0 = executor default, typically computed by the caller from
+  /// the calibrated per-cell cost model).
   void parallel_for_chunked(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t)>& body,
       std::size_t grain = 0);
 
-  /// Persistent-strip execution: enters a strip session for the duration
-  /// of the call and runs front_body(f) for f in [0, num_fronts) in order
-  /// on the calling thread. parallel_for calls made by front_body are each
-  /// one lightweight barrier round — workers never return to the condvar
-  /// between fronts.
-  void run_strips(std::size_t num_fronts,
-                  const std::function<void(std::size_t)>& front_body);
-
  private:
-  friend class StripSession;
-
-  struct Region {
-    // Current parallel region, guarded by mu_ (fork/join mode) or by the
-    // strip barrier's generation protocol (strip mode).
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-    std::uint64_t epoch = 0;  // bumped per region; workers wait on it
-    // Master's fault context at dispatch (plan null when none): lets
-    // workers — which have no thread-local scope of their own — draw
-    // kStripWorker injection decisions for the solve the strips belong
-    // to. Published/consumed under the same protocol as `body`; the plan
-    // outlives the dispatch because the master joins every worker before
-    // its FaultScope can unwind.
-    fault::FaultContext fault;
-  };
-
-  void worker_loop(std::size_t worker_index);
-  void run_chunk(const Region& region, std::size_t thread_index,
-                 std::size_t nthreads);
-  /// Throws fault::InjectedFault when the dispatching master's fault plan
-  /// fails this worker's chunk of the current strip front (site
-  /// kStripWorker). Exercises real worker-exception propagation through
-  /// the barrier; workers only — the master's own chunk faults through
-  /// the ordinary per-solve sites.
-  void maybe_fail_strip_chunk(std::size_t thread_index) const;
-  /// Condvar fork/join region (the non-strip path of parallel_for_chunked);
-  /// caller holds mastership.
-  void fork_join(std::size_t begin, std::size_t end,
-                 const std::function<void(std::size_t, std::size_t)>& body);
-
-  // --- master arbitration ------------------------------------------------
-  // One thread owns the pool at a time; re-acquisition by the owner (a
-  // parallel region inside its own strip session) just bumps the depth.
-  void acquire_master();
-  void release_master();
-  struct MasterGuard {
-    ThreadPool* pool;
-    explicit MasterGuard(ThreadPool* p) : pool(p) { pool->acquire_master(); }
-    ~MasterGuard() { pool->release_master(); }
-    MasterGuard(const MasterGuard&) = delete;
-    MasterGuard& operator=(const MasterGuard&) = delete;
-  };
-
-  // --- strip-session machinery -------------------------------------------
-  void begin_strips();
-  void end_strips();
-  /// Between-front yield of a cooperative strip session: when another
-  /// thread waits for mastership, close and reopen the session so the
-  /// waiter's region (or whole session) runs first. Called by the session
-  /// owner at master depth 1 (no region active).
-  void maybe_yield_strips();
-  void strip_dispatch(std::size_t begin, std::size_t end,
-                      const std::function<void(std::size_t, std::size_t)>& body);
-  void strip_worker_loop(std::size_t thread_index);
-
-  std::vector<std::thread> workers_;
-  StealingExecutor* exec_ = nullptr;  // non-null: stealing facade
-  bool coop_strips_ = false;
-  std::mutex master_mu_;
-  std::condition_variable master_cv_;
-  std::thread::id master_owner_{};
-  int master_depth_ = 0;
-  std::atomic<int> master_waiters_{0};  // threads blocked in acquire_master
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  Region region_;
-  std::size_t pending_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr first_error_;
-
-  // Strip-session state. strip_mode_/strip_enter_gen_ are written by the
-  // master under mu_ and read by waking workers under mu_; the atomics
-  // carry the per-front barrier (Dekker-style handshake with seq_cst).
-  bool strip_mode_ = false;
-  std::uint64_t strip_enter_gen_ = 0;
-  Region strip_region_;
-  std::atomic<std::uint64_t> strip_gen_{0};
-  std::atomic<std::size_t> strip_done_{0};
-  std::atomic<std::size_t> strip_parked_{0};
-  std::atomic<std::size_t> strip_exited_{0};
-  std::atomic<bool> strip_exit_{false};
-  std::mutex strip_mu_;
-  std::condition_variable strip_cv_;
+  std::unique_ptr<StealingExecutor> owned_;
+  StealingExecutor* exec_;
 };
 
-/// RAII strip session: while alive, every parallel region on the pool
-/// dispatches through the persistent-strip barrier instead of a full
-/// condvar fork/join. Null and single-threaded pools are a no-op; sessions
-/// do not nest on one thread. Construction takes pool mastership (blocking
-/// while another thread holds a session or region on the same pool) and
-/// destruction releases it, so concurrent sessions serialize safely.
-class StripSession {
- public:
-  explicit StripSession(ThreadPool* pool) : pool_(pool) {
-    if (pool_) pool_->begin_strips();
-  }
-  ~StripSession() {
-    if (pool_) pool_->end_strips();
-  }
-  StripSession(const StripSession&) = delete;
-  StripSession& operator=(const StripSession&) = delete;
-
- private:
-  ThreadPool* pool_;
-};
-
-/// Process-wide default pool sized to the hardware. Lazily constructed;
-/// intended for examples and tests that don't care about explicit sizing.
-ThreadPool& default_pool();
-
-/// Process-wide stealing facade over cpu::shared_executor() — the pool
+/// Process-wide handle over cpu::shared_executor() — the pool
 /// RunConfig{schedule = Schedule::kStealing} routes solo solves through.
-/// Safe to share across concurrent solves: the executor has no master
-/// arbitration, so their regions genuinely overlap. Lazily constructed.
+/// Lazily constructed.
 ThreadPool& shared_stealing_pool();
 
 }  // namespace lddp::cpu

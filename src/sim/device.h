@@ -206,8 +206,9 @@ class Device {
     }
   }
 
-  /// Eagerly runs `body(t)` over [0, num_tiles) coarse-grained items (one
-  /// item per pool task — tiles are big, unlike cells).
+  /// Eagerly runs `body(t)` over [0, num_tiles) coarse-grained items via
+  /// the pool's per-item parallel_for (at most
+  /// cpu::StealingExecutor::kMinGrain tiles run inline on the caller).
   template <typename Body>
   void execute_tiles(std::size_t num_tiles, Body&& body) {
     if (pool_ && num_tiles > 1) {

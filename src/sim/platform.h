@@ -63,7 +63,7 @@ class Platform {
 
   /// Pricing and dependency options for one CPU front.
   struct CpuFrontOpts {
-    bool parallel = true;      ///< fork/join (or barrier) vs single thread
+    bool parallel = true;      ///< parallel front vs single thread
     bool streamed = false;     ///< persistent-thread barrier pricing
     double mem_amplification = 1.0;  ///< cache-hostile walk factor
     double extra_seconds = 0.0;      ///< e.g. mapped-pinned access surcharge
@@ -108,8 +108,10 @@ class Platform {
         opts.dep1, opts.dep2, "cpu.front");
   }
 
-  /// Executes `body(t)` for tile t in [0, num_tiles) — the tiled
-  /// block-per-thread mapping — and records the tiled-front pricing.
+  /// Executes `body(t)` for tile t in [0, num_tiles) and records the
+  /// tiled block-per-thread pricing. Real execution goes through the
+  /// pool's per-item parallel_for, so a front of at most
+  /// cpu::StealingExecutor::kMinGrain tiles runs inline on the caller.
   template <typename Body>
   OpId cpu_tiled_front(std::size_t num_tiles, std::size_t tile_cells,
                        const cpu::WorkProfile& work, Body&& body,
@@ -157,13 +159,12 @@ class Platform {
   /// enough morsels to rebalance a ragged wavefront.
   static constexpr double kMorselTargetSeconds = 8e-6;
 
-  /// Adaptive morsel size for the stealing substrate, from the calibrated
-  /// per-cell cost model: the cell count this CPU retires in one morsel
-  /// target interval under this work profile. Static pools ignore the
-  /// hint, so computing it is only worth a branch on the stealing path.
+  /// Adaptive morsel size for the executor, from the calibrated per-cell
+  /// cost model: the cell count this CPU retires in one morsel target
+  /// interval under this work profile.
   std::size_t front_grain(const cpu::WorkProfile& work,
                           const CpuFrontOpts& opts) const {
-    if (pool_ == nullptr || pool_->stealing() == nullptr) return 0;
+    if (pool_ == nullptr) return 0;
     // cpu_peak_throughput is full-occupancy; a morsel runs on ONE thread,
     // so size it from the per-core rate.
     const double rate = cpu::cpu_peak_throughput(spec_.cpu, work,

@@ -1,6 +1,6 @@
 // Unit tests for the batched multi-solve engine: admission control,
-// scheduler policy ordering, buffer quotas, deterministic replay, and the
-// ThreadPool master arbitration that makes concurrent solves safe.
+// scheduler policy ordering, buffer quotas, deterministic replay, and
+// concurrent callers sharing one ThreadPool handle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -297,21 +297,22 @@ TEST(BatchEngine, EmptyBatchReportsZero) {
   EXPECT_EQ(rep.sim_makespan, 0.0);
 }
 
-TEST(BatchEngine, ConcurrentMastersOnOnePoolSerialize) {
-  // Two threads drive strip sessions on the *same* pool: the master
-  // arbitration must serialize them (not crash or interleave regions).
+TEST(BatchEngine, ConcurrentMastersOnOneHandle) {
+  // Two threads drive front loops through the *same* pool handle: the
+  // executor admits concurrent masters, and every region must still cover
+  // its own range exactly once.
   cpu::ThreadPool pool(3);
-  constexpr std::size_t kN = 512;
+  constexpr std::size_t kN = 4096;
   std::vector<std::uint64_t> out_a(kN, 0), out_b(kN, 0);
   auto drive = [&pool](std::vector<std::uint64_t>& out) {
     for (int round = 0; round < 20; ++round) {
-      pool.run_strips(4, [&](std::size_t front) {
+      for (std::size_t front = 0; front < 4; ++front) {
         pool.parallel_for_chunked(0, out.size(),
                                   [&](std::size_t lo, std::size_t hi) {
                                     for (std::size_t i = lo; i < hi; ++i)
                                       out[i] += front + 1;
                                   });
-      });
+      }
     }
   };
   std::thread ta(drive, std::ref(out_a));
@@ -324,9 +325,10 @@ TEST(BatchEngine, ConcurrentMastersOnOnePoolSerialize) {
   }
 }
 
-TEST(BatchEngine, ConcurrentForkJoinOnOnePoolSerializes) {
+TEST(BatchEngine, ConcurrentParallelForOnOneHandle) {
   cpu::ThreadPool pool(2);
-  std::vector<std::uint64_t> out_a(256, 0), out_b(256, 0);
+  constexpr std::size_t kN = 4096;
+  std::vector<std::uint64_t> out_a(kN, 0), out_b(kN, 0);
   auto drive = [&pool](std::vector<std::uint64_t>& out) {
     for (int round = 0; round < 50; ++round)
       pool.parallel_for(0, out.size(), [&](std::size_t i) { out[i] += 1; });
@@ -335,7 +337,7 @@ TEST(BatchEngine, ConcurrentForkJoinOnOnePoolSerializes) {
   std::thread tb(drive, std::ref(out_b));
   ta.join();
   tb.join();
-  for (std::size_t i = 0; i < 256; ++i) {
+  for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(out_a[i], 50u) << i;
     ASSERT_EQ(out_b[i], 50u) << i;
   }

@@ -1,11 +1,11 @@
 // Unit + differential tests for the work-stealing executor
 // (cpu/stealing_executor.h): Chase–Lev deque properties under concurrent
 // theft, exact-coverage and exception routing of parallel_region, the
-// determinism contract (bit-identity to the static substrate across all
+// determinism contract (bit-identity to serial execution across all
 // 15 contributing sets, simulated makespans invariant across worker
 // counts, per-morsel chaos draws invariant across worker counts and
 // steal interleavings), and the batch engine running whole suites on the
-// shared executor (schedule = kStealing).
+// engine-owned executor.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -366,23 +366,22 @@ TEST(StealingDifferential, MakespanInvariantAcrossWorkerCounts) {
   ASSERT_GT(base.sim_seconds, 0.0);
   for (const std::size_t workers : {0u, 3u, 15u}) {
     StealingExecutor exec(workers);
-    cpu::ThreadPool facade(&exec);
+    cpu::ThreadPool handle(&exec);
     RunConfig cfg;
     cfg.mode = Mode::kCpuParallel;
-    cfg.schedule = cpu::Schedule::kStatic;  // use the facade verbatim
-    cfg.pool = &facade;
+    cfg.schedule = cpu::Schedule::kAuto;  // use the handle verbatim
+    cfg.pool = &handle;
     const SolveStats stats = solve(p, cfg).stats;
     EXPECT_EQ(stats.sim_seconds, base.sim_seconds) << workers << " workers";
     EXPECT_EQ(stats.fronts, base.fronts) << workers << " workers";
   }
 }
 
-/// The batch engine on the stealing substrate (schedule = kStealing, the
-/// kAuto default resolves to the same): all 15 sets bit-identical to
-/// solo serial, plus one big-front solve that actually dispatches.
+/// The batch engine on its executor (threads_per_solve > 1): all 15 sets
+/// bit-identical to solo serial, plus one big-front solve that actually
+/// dispatches.
 TEST(StealingBatch, DifferentialAcrossAllContributingSets) {
   BatchConfig bc;
-  bc.schedule = cpu::Schedule::kStealing;
   bc.threads_per_solve = 2;
   bc.worker_threads = 2;
   BatchEngine engine(bc);
@@ -419,13 +418,8 @@ TEST(StealingConfig, IdleSpinBudgetIsPositive) {
 }
 
 TEST(StealingConfig, ScheduleNamesRoundTrip) {
-  EXPECT_EQ(cpu::to_string(cpu::Schedule::kStatic), "static");
   EXPECT_EQ(cpu::to_string(cpu::Schedule::kStealing), "stealing");
   EXPECT_EQ(cpu::to_string(cpu::Schedule::kAuto), "auto");
-  EXPECT_EQ(cpu::resolve_schedule(cpu::Schedule::kAuto),
-            cpu::Schedule::kStealing);
-  EXPECT_EQ(cpu::resolve_schedule(cpu::Schedule::kStatic),
-            cpu::Schedule::kStatic);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cpu/thread_pool.h"
+#include "util/check.h"
 
 namespace lddp::cpu {
 namespace {
@@ -91,6 +94,66 @@ TEST(ThreadPoolTest, MoreThreadsThanWork) {
   std::vector<std::atomic<int>> hits(3);
   pool.parallel_for(0, 3, [&](std::size_t i) { hits[i]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ShortItemRangeRunsInlineOnCaller) {
+  // A per-item range of at most kMinGrain items is one task on the
+  // calling thread — the tile fronts of Platform::cpu_tiled_front and
+  // Device::execute_tiles never fan out.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t n : {std::size_t{4}, std::size_t{512},
+                              StealingExecutor::kMinGrain}) {
+    std::vector<std::thread::id> ran(n);
+    pool.parallel_for(0, n, [&](std::size_t i) {
+      ran[i] = std::this_thread::get_id();
+    });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ran[i], caller) << n;
+  }
+}
+
+TEST(ThreadPoolTest, WavefrontDependenciesSeePreviousFront) {
+  // Each front reads the previous front's results — every region must be
+  // fully joined before the next one starts.
+  ThreadPool pool(4);
+  constexpr std::size_t kWidth = 10000;
+  std::vector<long> prev(kWidth, 1), cur(kWidth, 0);
+  for (int f = 0; f < 20; ++f) {
+    pool.parallel_for(0, kWidth, [&](std::size_t i) {
+      const long left = i > 0 ? prev[i - 1] : 0;
+      cur[i] = prev[i] + left;
+    });
+    std::swap(prev, cur);
+  }
+  std::vector<long> sprev(kWidth, 1), scur(kWidth, 0);
+  for (int f = 0; f < 20; ++f) {
+    for (std::size_t i = 0; i < kWidth; ++i)
+      scur[i] = sprev[i] + (i > 0 ? sprev[i - 1] : 0);
+    std::swap(sprev, scur);
+  }
+  EXPECT_EQ(prev, sprev);
+}
+
+TEST(ThreadPoolTest, ExceptionInsideFrontPropagatesAndPoolSurvives) {
+  ThreadPool pool(4);
+  constexpr std::size_t kWidth = 10000;
+  EXPECT_THROW(
+      {
+        for (std::size_t f = 0; f < 10; ++f) {
+          pool.parallel_for(0, kWidth, [&](std::size_t i) {
+            if (f == 3 && i == 7777) throw std::runtime_error("boom");
+          });
+        }
+      },
+      std::runtime_error);
+  // Later fronts on the same pool still cover their range exactly.
+  std::atomic<long> m{0};
+  for (int f = 0; f < 5; ++f) {
+    pool.parallel_for(0, kWidth, [&](std::size_t) {
+      m.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(m.load(), 5 * static_cast<long>(kWidth));
 }
 
 }  // namespace

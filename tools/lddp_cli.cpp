@@ -65,17 +65,15 @@ constexpr const char* kUsage = R"(usage: lddp_cli [flags]
                    runs of each front in one SIMD call over packed
                    neighbour spans (default on; results are bit-identical,
                    off restores the scalar per-cell path exactly)
-  --schedule S     CPU execution substrate: static | stealing | auto.
+  --schedule S     CPU executor for solo solves: auto | stealing.
                    stealing routes host fronts through the process-wide
-                   work-stealing executor (adaptive morsel chunking); for
-                   --batch the engine then owns ONE shared executor across
-                   all slots instead of per-solve pools. static keeps the
-                   legacy fork/join pools; auto (default) = legacy solo,
-                   stealing for --batch. Results are bit-identical
+                   work-stealing executor (adaptive morsel chunking);
+                   auto (default) runs them on the calling thread. --batch
+                   solves always run on the engine's own executor.
+                   Results are bit-identical
   --pack on|off    cross-solve packing for --batch: fuse co-ready GPU
                    fronts of in-flight solves into shared packed launches
-                   and co-schedule their CPU strips on one cooperative
-                   pool (default on; results are bit-identical)
+                   (default on; results are bit-identical)
   --lane-pack on|off|N
                    inter-solve SIMD lane packing for --batch: execute
                    cohorts of same-class small CPU solves in vector
@@ -432,14 +430,11 @@ int main(int argc, char** argv) try {
   {
     const std::string sch = flags.get("schedule", "");
     if (!sch.empty()) {
-      LDDP_CHECK_MSG(sch == "static" || sch == "stealing" || sch == "auto",
-                     "--schedule must be static, stealing or auto, got '"
-                         << sch << "'");
-      const cpu::Schedule s = sch == "static"     ? cpu::Schedule::kStatic
-                              : sch == "stealing" ? cpu::Schedule::kStealing
-                                                  : cpu::Schedule::kAuto;
-      cfg.schedule = s;
-      g_batch_cfg.schedule = s;
+      LDDP_CHECK_MSG(sch == "stealing" || sch == "auto",
+                     "--schedule must be stealing or auto, got '" << sch
+                                                                  << "'");
+      cfg.schedule = sch == "stealing" ? cpu::Schedule::kStealing
+                                       : cpu::Schedule::kAuto;
     }
   }
   const bool tune_first = flags.get_bool("tune");
