@@ -5,6 +5,9 @@
 // symmetry".
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+
 #include "core/problem.h"
 #include "tables/grid.h"
 
@@ -89,22 +92,40 @@ class MirroredProblem {
   const P* inner_;
 };
 
+/// Square tile edge of the blocked copies below: a tile's source rows and
+/// destination rows (64 cache lines each for 8-byte values) stay resident
+/// while it is copied, so neither side is walked with a one-line-per-cell
+/// stride.
+inline constexpr std::size_t kAdapterTile = 64;
+
 /// Undoes a transpose adapter on the result table.
 template <typename V>
 Grid<V> transpose_grid(const Grid<V>& g) {
-  Grid<V> out(g.cols(), g.rows());
-  for (std::size_t i = 0; i < g.rows(); ++i)
-    for (std::size_t j = 0; j < g.cols(); ++j) out.at(j, i) = g.at(i, j);
+  const std::size_t n = g.rows(), m = g.cols();
+  Grid<V> out = Grid<V>::uninitialized(m, n);  // every cell is written
+  const V* const src = g.data();
+  V* const dst = out.data();
+  for (std::size_t i0 = 0; i0 < n; i0 += kAdapterTile) {
+    const std::size_t i1 = std::min(n, i0 + kAdapterTile);
+    for (std::size_t j0 = 0; j0 < m; j0 += kAdapterTile) {
+      const std::size_t j1 = std::min(m, j0 + kAdapterTile);
+      for (std::size_t j = j0; j < j1; ++j)
+        for (std::size_t i = i0; i < i1; ++i)
+          dst[j * n + i] = src[i * m + j];
+    }
+  }
   return out;
 }
 
-/// Undoes a mirror adapter on the result table.
+/// Undoes a mirror adapter on the result table: each row reversed, a
+/// row-contiguous copy.
 template <typename V>
 Grid<V> mirror_grid(const Grid<V>& g) {
-  Grid<V> out(g.rows(), g.cols());
+  const std::size_t m = g.cols();
+  Grid<V> out = Grid<V>::uninitialized(g.rows(), m);  // every cell is written
   for (std::size_t i = 0; i < g.rows(); ++i)
-    for (std::size_t j = 0; j < g.cols(); ++j)
-      out.at(i, g.cols() - 1 - j) = g.at(i, j);
+    std::reverse_copy(g.data() + i * m, g.data() + (i + 1) * m,
+                      out.data() + i * m);
   return out;
 }
 

@@ -194,11 +194,16 @@ SolveResult<P> solve_canonical(const P& p, Pattern pattern,
     case Mode::kAuto:
       LDDP_CHECK_MSG(false, "unreachable: auto mode was resolved above");
   }
-  // Table-storage high-water of a full-table solve: the host grid, plus
-  // the wavefront-contiguous device copy for the modes that keep one.
-  result.stats.peak_table_bytes =
-      p.rows() * p.cols() * sizeof(typename P::Value) *
-      ((mode == Mode::kGpu || mode == Mode::kHeterogeneous) ? 2 : 1);
+  // Table-storage high-water. The front-window engines report grid plus
+  // ring themselves; the others hold the host grid, plus a full device
+  // copy for the tiled and Inverted-L GPU/heterogeneous strategies.
+  if (result.stats.peak_table_bytes == 0) {
+    const bool device_copy =
+        mode == Mode::kGpu || mode == Mode::kHeterogeneous;
+    result.stats.peak_table_bytes = p.rows() * p.cols() *
+                                    sizeof(typename P::Value) *
+                                    (device_copy ? 2 : 1);
+  }
   if (!cfg.trace_path.empty())
     platform.timeline().export_chrome_trace(cfg.trace_path);
   // Detach the per-attempt control before copying the timeline out: the

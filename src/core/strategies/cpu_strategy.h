@@ -10,6 +10,8 @@
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/front_window.h"
+#include "util/aligned.h"
 
 namespace lddp {
 
@@ -54,6 +56,8 @@ Grid<typename P::Value> solve_cpu_serial(const P& p, sim::Platform* platform,
 /// Multicore wavefront execution over the pattern's layout — the paper's
 /// OpenMP-style baseline: one fork/join parallel region per front.
 /// `mem_amplification` prices cache-hostile walk orders (diagonal fronts).
+/// Fronts are computed into a rolling window and drained into the grid
+/// (front_window.h); the pricing is unaffected by where cells live.
 template <LddpProblem P, typename Layout>
 Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
                                            sim::Platform& platform,
@@ -67,11 +71,13 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
   const V bound = p.boundary();
   const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
-  Grid<V> table(n, m);
-  detail::GridReader<V> read{&table};
-  auto addr = [&table](std::size_t i, std::size_t j) {
-    return &table.at(i, j);
-  };
+  AlignedBuf<V> ring;
+  detail::GridDrain<V, Layout> out(
+      layout, deps,
+      ring.ensure(detail::GridDrain<V, Layout>::ring_size(layout, deps)),
+      platform.pool());
+  auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
+  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
   // The simulated pricing below is the paper's fork/join-per-front OpenMP
   // baseline, whatever executor runs the fronts for real.
   sim::Platform::CpuFrontOpts opts;
@@ -94,11 +100,12 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
           layout.front_size(f), work,
           [&](std::size_t c) {
             const CellIndex cell = layout.cell(f, c);
-            table.at(cell.i, cell.j) =
+            *out.addr(cell.i, cell.j) =
                 detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
           },
           opts);
     }
+    out.retire(f);
   }
   if (stats) {
     stats->mode_used = Mode::kCpuParallel;
@@ -106,9 +113,10 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = layout.num_fronts();
     stats->cells = n * m;
+    stats->peak_table_bytes = out.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
-  return table;
+  return out.take();
 }
 
 }  // namespace lddp

@@ -23,11 +23,10 @@
 //     transfers exactly like the full-table heterogeneous strategies.
 //
 // Simulated pricing matches the full-table strategies front for front
-// (same kernels, same CPU charges); what changes is storage: O(window +
-// rows/K checkpoints) instead of O(rows * cols), which is also why the
-// real wall-clock of large value-only solves improves — the window stays
-// cache-resident and the full table's zero-fill, write-allocate traffic
-// and final unpack disappear.
+// (same kernels, same CPU charges). Both tiers compute in the same
+// rolling window (front_window.h); what changes is storage: the full
+// tier drains every front into an O(rows * cols) grid, this tier keeps
+// O(window + rows/K checkpoints) and skips the grid's write traffic.
 #pragma once
 
 #include <algorithm>
@@ -35,6 +34,7 @@
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/front_window.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
 #include "tables/frontier.h"
@@ -46,61 +46,6 @@ inline std::size_t resolve_checkpoint_interval(std::size_t user,
                                                std::size_t rows) {
   return user > 0 ? user : default_checkpoint_interval(rows);
 }
-
-// --- Front index of a cell (inverse of the layout's front geometry) ----
-
-inline std::size_t front_of(const RowMajorLayout&, std::size_t i,
-                            std::size_t) {
-  return i;
-}
-inline std::size_t front_of(const ColumnMajorLayout&, std::size_t,
-                            std::size_t j) {
-  return j;
-}
-inline std::size_t front_of(const AntiDiagonalLayout&, std::size_t i,
-                            std::size_t j) {
-  return i + j;
-}
-inline std::size_t front_of(const KnightMoveLayout&, std::size_t i,
-                            std::size_t j) {
-  return 2 * i + j;
-}
-inline std::size_t front_of(const ShellLayout&, std::size_t i,
-                            std::size_t j) {
-  return std::min(i, j);
-}
-inline std::size_t front_of(const MirrorShellLayout& L, std::size_t i,
-                            std::size_t j) {
-  return std::min(i, L.cols() - 1 - j);
-}
-
-/// Rolling window over the last `w` fronts of a layout, 64-byte-aligned
-/// base, fronts padded to a common stride. addr(i, j) is affine along any
-/// FrontRun (the layout's flat() is affine and the front index is
-/// constant), so the SIMD batch-front machinery works on it unchanged.
-template <typename V, typename Layout>
-struct FrontWindow {
-  const Layout* layout;
-  V* base;
-  std::size_t w;       ///< fronts retained
-  std::size_t stride;  ///< elements per front slot
-
-  static std::size_t max_front_size(const Layout& L) {
-    std::size_t fs = 0;
-    for (std::size_t f = 0; f < L.num_fronts(); ++f)
-      fs = std::max(fs, L.front_size(f));
-    return fs;
-  }
-  static std::size_t slot_stride(const Layout& L) {
-    return (max_front_size(L) + 15) & ~std::size_t{15};
-  }
-
-  V* addr(std::size_t i, std::size_t j) const {
-    const std::size_t f = front_of(*layout, i, j);
-    return base + (f % w) * stride +
-           (layout->flat(i, j) - layout->front_offset(f));
-  }
-};
 
 /// Copies front f's checkpoint-row and last-row cells out of the window
 /// into the table's retained storage. Cost is O(front_size / K) via mod-K
@@ -274,9 +219,8 @@ FrontierTable<typename P::Value> solve_frontier_parallel(
   FrontierTable<V> table = FrontierTable<V>::checkpointed(n, m, K);
 
   AlignedBuf<V> win;
-  FrontWindow<V, Layout> fw{&layout, nullptr, w,
-                            FrontWindow<V, Layout>::slot_stride(layout)};
-  fw.base = win.ensure(fw.w * fw.stride);
+  const std::size_t stride = FrontWindow<V, Layout>::slot_stride(layout);
+  const FrontWindow<V, Layout> fw(layout, win.ensure(w * stride), w, stride);
   auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
   auto read = [&fw](std::size_t i, std::size_t j) { return *fw.addr(i, j); };
 
@@ -312,17 +256,17 @@ FrontierTable<typename P::Value> solve_frontier_parallel(
     stats->fronts = layout.num_fronts();
     stats->cells = n * m;
     finish_stats(*stats, platform, wall.seconds());
-    finish_frontier_stats(stats, table, fw.w * fw.stride * sizeof(V));
+    finish_frontier_stats(stats, table, w * stride * sizeof(V));
   }
   return table;
 }
 
 // --- GPU engine ---------------------------------------------------------
 
-/// solve_gpu over a device-resident front window. The full-table version
-/// downloads result_bytes and host-unpacks the whole device array; here
-/// only the checkpoint halo of each front comes down (pinned), plus the
-/// same final result download.
+/// solve_gpu keeping only checkpoint rows. The full-table version drains
+/// every front of its window into the host grid; here only the
+/// checkpoint halo of each front comes down (priced as pinned copies),
+/// plus the same final result download.
 template <LddpProblem P, typename Layout>
 FrontierTable<typename P::Value> solve_frontier_gpu(
     const P& p, const Layout& layout, sim::Platform& platform,
@@ -342,7 +286,7 @@ FrontierTable<typename P::Value> solve_frontier_gpu(
   const std::size_t stride = FrontWindow<V, Layout>::slot_stride(layout);
   sim::DeviceBuffer<V> dwin =
       gpu.template alloc<V>(w * stride, /*zeroed=*/false);
-  FrontWindow<V, Layout> fw{&layout, dwin.device_ptr(), w, stride};
+  const FrontWindow<V, Layout> fw(layout, dwin.device_ptr(), w, stride);
   auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
   auto read = [&fw](std::size_t i, std::size_t j) { return *fw.addr(i, j); };
 
@@ -466,7 +410,7 @@ FrontierTable<typename P::Value> solve_frontier_hetero(
   const std::size_t stride = FrontWindow<V, Layout>::slot_stride(layout);
   sim::DeviceBuffer<V> dwin =
       gpu.template alloc<V>(w * stride, /*zeroed=*/false);
-  FrontWindow<V, Layout> fw{&layout, dwin.device_ptr(), w, stride};
+  const FrontWindow<V, Layout> fw(layout, dwin.device_ptr(), w, stride);
   auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
   auto read = [&fw](std::size_t i, std::size_t j) { return *fw.addr(i, j); };
 

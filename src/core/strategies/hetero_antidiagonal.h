@@ -15,6 +15,7 @@
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/front_window.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
 
@@ -48,11 +49,17 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   const std::size_t phase2_begin = ts;
   const std::size_t phase2_end = num_fronts - ts;
 
-  Grid<V> table(n, m);
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(layout.size());
-  detail::GridReader<V> hread{&table};
-  detail::DeviceReader<V, AntiDiagonalLayout> dread{dtable.device_ptr(),
-                                                    &layout};
+  // Both units compute into one host-visible front window (mapped-memory
+  // style) that drains into the result grid; the boundary transfers below
+  // price the crossings without moving data.
+  sim::DeviceBuffer<V> ring = gpu.template alloc<V>(
+      detail::GridDrain<V, AntiDiagonalLayout>::ring_size(layout, deps),
+      /*zeroed=*/false);
+  detail::GridDrain<V, AntiDiagonalLayout> out(layout, deps,
+                                               ring.device_ptr(),
+                                               platform.pool());
+  auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
+  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -76,9 +83,6 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     return std::min(s - lo, layout.front_size(d));
   };
 
-  auto haddr = [&table](std::size_t i, std::size_t j) {
-    return &table.at(i, j);
-  };
   auto run_cpu = [&](std::size_t d, std::size_t count, sim::OpId dep) {
     sim::Platform::CpuFrontOpts opts;
     opts.streamed = true;  // persistent framework threads, not fork/join
@@ -90,7 +94,7 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
       return platform.cpu_front(
           count, work,
           [&, d](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(p, deps, bound, layout, d, lo, hi, haddr,
+            detail::run_front_range(p, deps, bound, layout, d, lo, hi, addr,
                                     /*batch=*/true);
           },
           opts);
@@ -99,8 +103,8 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
         count, work,
         [&, d](std::size_t c) {
           const CellIndex cell = layout.cell(d, c);
-          table.at(cell.i, cell.j) =
-              detail::compute_cell(p, deps, bound, cell.i, cell.j, m, hread);
+          *out.addr(cell.i, cell.j) =
+              detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
         },
         opts);
   };
@@ -109,8 +113,10 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   sim::OpId last_gpu = sim::kNoOp;
 
   // ---- Phase 1 ----------------------------------------------------------
-  for (std::size_t d = 0; d < phase2_begin; ++d)
+  for (std::size_t d = 0; d < phase2_begin; ++d) {
     last_cpu = run_cpu(d, layout.front_size(d), sim::kNoOp);
+    out.retire(d);
+  }
 
   // Phase-2 entry: the GPU will read rows >= s-1 of the two fronts before
   // phase2_begin, which the CPU computed in phase 1. Ship them in bulk.
@@ -121,13 +127,8 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     std::size_t bytes = 0;
     for (std::size_t back = 1; back <= 2 && back <= phase2_begin; ++back) {
       const std::size_t d = phase2_begin - back;
-      const std::size_t base = layout.front_offset(d);
-      for (std::size_t c = 0; c < layout.front_size(d); ++c) {
-        const CellIndex cell = layout.cell(d, c);
-        if (cell.i < lo_row) continue;
-        dtable.device_ptr()[base + c] = table.at(cell.i, cell.j);
-        bytes += sizeof(V);
-      }
+      for (std::size_t c = 0; c < layout.front_size(d); ++c)
+        if (layout.cell(d, c).i >= lo_row) bytes += sizeof(V);
     }
     h2d_m1 = h2d_m2 = graph.record_h2d(h2d_stream, bytes,
                                        sim::MemoryKind::kPageable, last_cpu);
@@ -151,8 +152,6 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     sim::OpId h2d_op = sim::kNoOp;
     if (c > 0 && s > 0 && s - 1 >= layout.i_min(d) &&
         s - 1 <= layout.i_max(d)) {
-      const std::size_t j = d - (s - 1);
-      dtable.device_ptr()[layout.flat(s - 1, j)] = table.at(s - 1, j);
       h2d_op = graph.record_h2d(h2d_stream, sizeof(V),
                                 sim::MemoryKind::kPinned, cpu_op);
     }
@@ -161,31 +160,26 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
       // The kernel additionally waits for the boundary cells of the last
       // two fronts (the W/N/NW reads that cross the strip).
       graph.stream_wait(compute_stream, h2d_m2);
-      const std::size_t base = layout.front_offset(d);
-      V* out = dtable.device_ptr();
       if (use_batch) {
         last_gpu = graph.launch(
             compute_stream, info, fs - c,
-            [&, d, c, out](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, d, c + lo, c + hi,
-                  [out, &layout](std::size_t i, std::size_t j) {
-                    return out + layout.flat(i, j);
-                  },
-                  /*batch=*/true);
+            [&, d, c](std::size_t lo, std::size_t hi) {
+              detail::run_front_range(p, deps, bound, layout, d, c + lo,
+                                      c + hi, addr, /*batch=*/true);
             },
             h2d_m1);
       } else {
         last_gpu = graph.launch(
             compute_stream, info, fs - c,
-            [&, d, c, base, out](std::size_t k) {
+            [&, d, c](std::size_t k) {
               const CellIndex cell = layout.cell(d, c + k);
-              out[base + c + k] = detail::compute_cell(p, deps, bound, cell.i,
-                                                       cell.j, m, dread);
+              *out.addr(cell.i, cell.j) = detail::compute_cell(
+                  p, deps, bound, cell.i, cell.j, m, read);
             },
             h2d_m1);
       }
     }
+    out.retire(d);
     h2d_m2 = h2d_m1;
     h2d_m1 = h2d_op;
   }
@@ -203,12 +197,7 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     for (std::size_t back = 1; back <= 2 && back <= phase2_end; ++back) {
       const std::size_t d = phase2_end - back;
       if (d < phase2_begin) break;  // phase-1 front: already on the host
-      const std::size_t base = layout.front_offset(d);
-      for (std::size_t c = cpu_len(d); c < layout.front_size(d); ++c) {
-        const CellIndex cell = layout.cell(d, c);
-        table.at(cell.i, cell.j) = dtable.device_ptr()[base + c];
-        bytes += sizeof(V);
-      }
+      bytes += (layout.front_size(d) - cpu_len(d)) * sizeof(V);
     }
     entry_d2h = gpu.record_d2h(d2h_stream, bytes, sim::MemoryKind::kPageable,
                                last_gpu);
@@ -218,19 +207,14 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   for (std::size_t d = phase2_end; d < num_fronts; ++d) {
     last_cpu = run_cpu(d, layout.front_size(d), entry_d2h);
     entry_d2h = sim::kNoOp;  // only the first phase-3 front waits on it
+    out.retire(d);
   }
 
   // Final download of the GPU-owned region (phase-2 suffixes).
   {
     std::size_t bytes = 0;
-    for (std::size_t d = phase2_begin; d < phase2_end; ++d) {
-      const std::size_t base = layout.front_offset(d);
-      for (std::size_t c = cpu_len(d); c < layout.front_size(d); ++c) {
-        const CellIndex cell = layout.cell(d, c);
-        table.at(cell.i, cell.j) = dtable.device_ptr()[base + c];
-        bytes += sizeof(V);
-      }
-    }
+    for (std::size_t d = phase2_begin; d < phase2_end; ++d)
+      bytes += (layout.front_size(d) - cpu_len(d)) * sizeof(V);
     const sim::OpId fin =
         gpu.record_d2h(d2h_stream, std::min(bytes, result_bytes_of(p)),
                        sim::MemoryKind::kPageable, last_gpu);
@@ -245,9 +229,10 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     stats->cells = n * m;
     stats->t_switch = params.t_switch;
     stats->t_share = params.t_share;
+    stats->peak_table_bytes = out.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
-  return table;
+  return out.take();
 }
 
 }  // namespace lddp

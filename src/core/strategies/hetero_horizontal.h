@@ -17,6 +17,7 @@
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/front_window.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
 
@@ -60,10 +61,13 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
     info.extra_us = platform.spec().gpu.mapped_access_overhead_us;
   }
 
-  Grid<V> table(n, m);
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(layout.size());
-  detail::GridReader<V> hread{&table};
-  detail::DeviceReader<V, RowMajorLayout> dread{dtable.device_ptr(), &layout};
+  // Row fronts: both units write their strips straight into the result
+  // grid, which is the whole front window (front_window.h); the boundary
+  // transfers below price the crossings without moving data.
+  detail::GridDrain<V, RowMajorLayout> out(layout, deps, /*ring=*/nullptr,
+                                           platform.pool());
+  auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
+  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -99,10 +103,6 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
       // previous row (mapped); in one-way GPU->CPU mode it waits for the
       // pipelined boundary copy of the previous row.
       const sim::OpId dep = two_way ? gpu_m1 : (gpu_to_cpu ? d2h_m1 : sim::kNoOp);
-      if (gpu_to_cpu && i > 0) {
-        // Real data movement for the NE read: GPU boundary cell (i-1, s).
-        table.at(i - 1, s) = dtable.device_ptr()[layout.flat(i - 1, s)];
-      }
       sim::Platform::CpuFrontOpts opts;
       opts.parallel = cpu_parallel;
       opts.streamed = true;
@@ -112,20 +112,16 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
         cpu_op = platform.cpu_front(
             std::min(s, m), work,
             [&, i](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, i, lo, hi,
-                  [&table](std::size_t ii, std::size_t jj) {
-                    return &table.at(ii, jj);
-                  },
-                  /*batch=*/true);
+              detail::run_front_range(p, deps, bound, layout, i, lo, hi,
+                                      addr, /*batch=*/true);
             },
             opts);
       } else {
         cpu_op = platform.cpu_front(
             std::min(s, m), work,
             [&, i](std::size_t j) {
-              table.at(i, j) =
-                  detail::compute_cell(p, deps, bound, i, j, m, hread);
+              *out.addr(i, j) =
+                  detail::compute_cell(p, deps, bound, i, j, m, read);
             },
             opts);
       }
@@ -134,38 +130,29 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
 
     // --- boundary CPU->GPU ----------------------------------------------
     sim::OpId h2d_op = sim::kNoOp;
-    if (cpu_to_gpu) {
-      dtable.device_ptr()[layout.flat(i, s - 1)] = table.at(i, s - 1);
-      if (!two_way) {
-        h2d_op = graph.record_h2d(h2d_stream, sizeof(V),
-                                  sim::MemoryKind::kPinned, cpu_op);
-      }
+    if (cpu_to_gpu && !two_way) {
+      h2d_op = graph.record_h2d(h2d_stream, sizeof(V),
+                                sim::MemoryKind::kPinned, cpu_op);
     }
 
     // --- GPU segment: cells (i, s..m) ------------------------------------
     sim::OpId gpu_op = sim::kNoOp;
     if (s < m) {
       const sim::OpId dep = two_way ? cpu_m1 : (cpu_to_gpu ? h2d_m1 : sim::kNoOp);
-      const std::size_t base = layout.front_offset(i) + s;
-      V* out = dtable.device_ptr();
       if (use_batch) {
         gpu_op = graph.launch(
             compute_stream, info, m - s,
-            [&, i, out](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, i, s + lo, s + hi,
-                  [out, &layout](std::size_t ii, std::size_t jj) {
-                    return out + layout.flat(ii, jj);
-                  },
-                  /*batch=*/true);
+            [&, i](std::size_t lo, std::size_t hi) {
+              detail::run_front_range(p, deps, bound, layout, i, s + lo,
+                                      s + hi, addr, /*batch=*/true);
             },
             dep);
       } else {
         gpu_op = graph.launch(
             compute_stream, info, m - s,
-            [&, i, base, out](std::size_t k) {
-              out[base + k] =
-                  detail::compute_cell(p, deps, bound, i, s + k, m, dread);
+            [&, i](std::size_t k) {
+              *out.addr(i, s + k) =
+                  detail::compute_cell(p, deps, bound, i, s + k, m, read);
             },
             dep);
       }
@@ -175,12 +162,13 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
     // --- boundary GPU->CPU (one-way pipelined variant) -------------------
     sim::OpId d2h_op = sim::kNoOp;
     if (gpu_to_cpu && !two_way) {
-      // The actual copy happens lazily at the top of the next iteration;
-      // here we schedule its simulated cost behind the kernel.
+      // The CPU reads the cell in place next row; this prices the copy
+      // behind the kernel.
       d2h_op = graph.record_d2h(d2h_stream, sizeof(V),
                                 sim::MemoryKind::kPinned, gpu_op);
     }
 
+    out.retire(i);
     h2d_m1 = h2d_op;
     d2h_m1 = d2h_op;
     gpu_m1 = gpu_op;
@@ -191,9 +179,8 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
   graph.replay();
   last_gpu = graph.resolve(last_gpu);
 
-  // Final download of the GPU strip.
+  // Final download of the GPU strip (priced; the grid already holds it).
   {
-    detail::unpack_table(dtable.device_ptr(), layout, table, s, m);
     const std::size_t bytes = n * (m - s) * sizeof(V);
     const sim::OpId fin =
         gpu.record_d2h(d2h_stream, std::min(bytes, result_bytes_of(p)),
@@ -209,9 +196,10 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
     stats->cells = n * m;
     stats->t_switch = 0;
     stats->t_share = params.t_share;
+    stats->peak_table_bytes = out.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
-  return table;
+  return out.take();
 }
 
 }  // namespace lddp

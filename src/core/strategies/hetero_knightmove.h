@@ -15,6 +15,7 @@
 
 #include "core/front_runner.h"
 #include "core/strategies/common.h"
+#include "core/strategies/front_window.h"
 #include "core/strategies/heuristics.h"
 #include "sim/launch_graph.h"
 
@@ -58,11 +59,16 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   const double cpu_extra_seconds = 0.0;
   if (split) info.extra_us = platform.spec().gpu.mapped_access_overhead_us;
 
-  Grid<V> table(n, m);
-  sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(layout.size());
-  detail::GridReader<V> hread{&table};
-  detail::DeviceReader<V, KnightMoveLayout> dread{dtable.device_ptr(),
-                                                  &layout};
+  // Both units compute into one host-visible front window that drains
+  // into the result grid: the mapped boundary cells need no mirroring and
+  // the priced transfers move no data.
+  sim::DeviceBuffer<V> ring = gpu.template alloc<V>(
+      detail::GridDrain<V, KnightMoveLayout>::ring_size(layout, deps),
+      /*zeroed=*/false);
+  detail::GridDrain<V, KnightMoveLayout> out(layout, deps, ring.device_ptr(),
+                                             platform.pool());
+  auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
+  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -91,6 +97,10 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
     const std::size_t i_lo = std::max(i_min, (t - s) / 2 + 1);
     return i_lo > i_max ? 0 : i_max - i_lo + 1;
   };
+  // GPU-owned suffix of front t (the cells right of the strip).
+  auto gpu_len = [&](std::size_t t) -> std::size_t {
+    return layout.front_size(t) - std::min(cpu_len(t), layout.front_size(t));
+  };
 
   auto run_cpu = [&](std::size_t t, std::size_t count, sim::OpId dep,
                      double extra) {
@@ -105,12 +115,8 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
       return platform.cpu_front(
           count, work,
           [&, t](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(
-                p, deps, bound, layout, t, lo, hi,
-                [&table](std::size_t i, std::size_t j) {
-                  return &table.at(i, j);
-                },
-                /*batch=*/true);
+            detail::run_front_range(p, deps, bound, layout, t, lo, hi, addr,
+                                    /*batch=*/true);
           },
           opts);
     }
@@ -118,8 +124,8 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
         count, work,
         [&, t](std::size_t c) {
           const CellIndex cell = layout.cell(t, c);
-          table.at(cell.i, cell.j) =
-              detail::compute_cell(p, deps, bound, cell.i, cell.j, m, hread);
+          *out.addr(cell.i, cell.j) =
+              detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
         },
         opts);
   };
@@ -127,8 +133,10 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   sim::OpId last_cpu = sim::kNoOp, last_gpu = sim::kNoOp;
 
   // ---- Phase 1 ----------------------------------------------------------
-  for (std::size_t t = 0; t < phase2_begin; ++t)
+  for (std::size_t t = 0; t < phase2_begin; ++t) {
     last_cpu = run_cpu(t, layout.front_size(t), sim::kNoOp, 0.0);
+    out.retire(t);
+  }
 
   // Phase-2 entry: the GPU reads columns >= s-1 of the three preceding
   // fronts (W and NE from t-1, N from t-2, NW from t-3), all CPU-computed.
@@ -138,13 +146,8 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
     std::size_t bytes = 0;
     for (std::size_t back = 1; back <= 3 && back <= phase2_begin; ++back) {
       const std::size_t t = phase2_begin - back;
-      const std::size_t base = layout.front_offset(t);
-      for (std::size_t c = 0; c < layout.front_size(t); ++c) {
-        const CellIndex cell = layout.cell(t, c);
-        if (cell.j < lo_col) continue;
-        dtable.device_ptr()[base + c] = table.at(cell.i, cell.j);
-        bytes += sizeof(V);
-      }
+      for (std::size_t c = 0; c < layout.front_size(t); ++c)
+        if (layout.cell(t, c).j >= lo_col) bytes += sizeof(V);
     }
     entry_h2d = graph.record_h2d(h2d_stream, bytes,
                                  sim::MemoryKind::kPageable, last_cpu);
@@ -154,8 +157,7 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   // The GPU front t depends on the CPU fronts t-1 and t-3 (mapped reads of
   // column s-1) — the CPU resource is FIFO, so depending on the newest CPU
   // op from fronts < t covers both. The CPU front t depends on the GPU
-  // front t-1 (mapped read of column s). The mapped boundary cells are
-  // mirrored eagerly after each producer completes.
+  // front t-1 (mapped read of column s).
   sim::OpId gpu_m1 = sim::kNoOp;
   for (std::size_t t = phase2_begin; t < phase2_end; ++t) {
     const std::size_t fs = layout.front_size(t);
@@ -164,62 +166,34 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
 
     sim::OpId cpu_op = sim::kNoOp;
     if (c > 0) {
-      if (split && t >= 1) {
-        // Mirror the GPU's boundary cell (i, s) of front t-1 into the host
-        // table before the CPU reads it as NE.
-        const std::size_t tt = t - 1;
-        if (tt >= s && (tt - s) % 2 == 0) {
-          const std::size_t i = (tt - s) / 2;
-          if (i < n) table.at(i, s) = dtable.device_ptr()[layout.flat(i, s)];
-        }
-      }
       cpu_op = run_cpu(t, c, gpu_m1, cpu_extra_seconds);
       last_cpu = cpu_op;
     }
 
     if (c < fs) {
-      if (split) {
-        // Mirror the CPU's boundary cells (i, s-1) of fronts t-1 and t-3
-        // into the device table before the GPU reads them as W / NW.
-        for (std::size_t back = 1; back <= 3; back += 2) {
-          if (t < back) continue;
-          const std::size_t tt = t - back;
-          if (tt >= s - 1 && (tt - (s - 1)) % 2 == 0) {
-            const std::size_t i = (tt - (s - 1)) / 2;
-            if (i < n)
-              dtable.device_ptr()[layout.flat(i, s - 1)] =
-                  table.at(i, s - 1);
-          }
-        }
-      }
-      const std::size_t base = layout.front_offset(t);
-      V* out = dtable.device_ptr();
       graph.stream_wait(compute_stream, entry_h2d);
       if (use_batch) {
         last_gpu = graph.launch(
             compute_stream, info, fs - c,
-            [&, t, c, out](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, t, c + lo, c + hi,
-                  [out, &layout](std::size_t i, std::size_t j) {
-                    return out + layout.flat(i, j);
-                  },
-                  /*batch=*/true);
+            [&, t, c](std::size_t lo, std::size_t hi) {
+              detail::run_front_range(p, deps, bound, layout, t, c + lo,
+                                      c + hi, addr, /*batch=*/true);
             },
             cpu_prev);
       } else {
         last_gpu = graph.launch(
             compute_stream, info, fs - c,
-            [&, t, c, base, out](std::size_t k) {
+            [&, t, c](std::size_t k) {
               const CellIndex cell = layout.cell(t, c + k);
-              out[base + c + k] = detail::compute_cell(p, deps, bound, cell.i,
-                                                       cell.j, m, dread);
+              *out.addr(cell.i, cell.j) = detail::compute_cell(
+                  p, deps, bound, cell.i, cell.j, m, read);
             },
             cpu_prev);
       }
       entry_h2d = sim::kNoOp;  // only the first kernel waits on the bulk
     }
 
+    out.retire(t);
     gpu_m1 = last_gpu;
   }
 
@@ -236,13 +210,7 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
     for (std::size_t back = 1; back <= 3 && back <= phase2_end; ++back) {
       const std::size_t t = phase2_end - back;
       if (t < phase2_begin) break;
-      const std::size_t base = layout.front_offset(t);
-      for (std::size_t c = std::min(cpu_len(t), layout.front_size(t));
-           c < layout.front_size(t); ++c) {
-        const CellIndex cell = layout.cell(t, c);
-        table.at(cell.i, cell.j) = dtable.device_ptr()[base + c];
-        bytes += sizeof(V);
-      }
+      bytes += gpu_len(t) * sizeof(V);
     }
     entry_d2h = gpu.record_d2h(d2h_stream, bytes, sim::MemoryKind::kPageable,
                                last_gpu);
@@ -252,20 +220,14 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   for (std::size_t t = phase2_end; t < num_fronts; ++t) {
     last_cpu = run_cpu(t, layout.front_size(t), entry_d2h, 0.0);
     entry_d2h = sim::kNoOp;
+    out.retire(t);
   }
 
   // Final download of the GPU-owned region.
   {
     std::size_t bytes = 0;
-    for (std::size_t t = phase2_begin; t < phase2_end; ++t) {
-      const std::size_t base = layout.front_offset(t);
-      for (std::size_t c = std::min(cpu_len(t), layout.front_size(t));
-           c < layout.front_size(t); ++c) {
-        const CellIndex cell = layout.cell(t, c);
-        table.at(cell.i, cell.j) = dtable.device_ptr()[base + c];
-        bytes += sizeof(V);
-      }
-    }
+    for (std::size_t t = phase2_begin; t < phase2_end; ++t)
+      bytes += gpu_len(t) * sizeof(V);
     const sim::OpId fin =
         gpu.record_d2h(d2h_stream, std::min(bytes, result_bytes_of(p)),
                        sim::MemoryKind::kPageable, last_gpu);
@@ -280,9 +242,10 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
     stats->cells = n * m;
     stats->t_switch = params.t_switch;
     stats->t_share = params.t_share;
+    stats->peak_table_bytes = out.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
   }
-  return table;
+  return out.take();
 }
 
 }  // namespace lddp

@@ -40,11 +40,12 @@ Timeline::ResourceId Timeline::add_resource(std::string name) {
 }
 
 OpId Timeline::record(ResourceId resource, double duration_s,
-                      std::span<const OpId> deps, const char* label) {
+                      std::span<const OpId> deps, const char* label,
+                      double not_before) {
   LDDP_CHECK_MSG(resource < resources_.size(), "unknown resource id");
   LDDP_CHECK_MSG(duration_s >= 0.0, "negative op duration");
   if (control_ != nullptr) check_cancelled();
-  double ready = resources_[resource].free_at;
+  double ready = std::max(resources_[resource].free_at, not_before);
   for (OpId d : deps) {
     if (d == kNoOp) continue;
     LDDP_CHECK_MSG(d < ends_.size(), "dependency on an unrecorded op");

@@ -46,10 +46,12 @@ double TimelineMerger::feasible_start(const Job& job) const {
 void TimelineMerger::place(std::size_t rank, double duration) {
   Job& job = jobs_[rank];
   const OpId op = static_cast<OpId>(job.next);
-  // Map the recorded dependencies into the shared timeline and append the
-  // release gate; Timeline::record then reproduces exactly feasible_start
-  // (or, for a pack rider, the end of the previous segment — the shared
-  // resource serializes the pack's segments back to back).
+  // Map the recorded dependencies into the shared timeline, append the
+  // release gate and pass the release time (slot release plus any retry
+  // backoff) as the not-before bound; Timeline::record then reproduces
+  // exactly feasible_start (or, for a pack rider, the end of the previous
+  // segment — the shared resource serializes the pack's segments back to
+  // back).
   std::vector<OpId> deps;
   const auto rec_deps = job.recorded->op_deps(op);
   deps.reserve(rec_deps.size() + 1);
@@ -57,7 +59,8 @@ void TimelineMerger::place(std::size_t rank, double duration) {
   deps.push_back(job.release_dep);
   const OpId placed =
       shared_->record(job.resource_map[job.recorded->op_resource(op)],
-                      duration, deps, job.recorded->op_label(op));
+                      duration, deps, job.recorded->op_label(op),
+                      job.release);
   job.shared_ids[op] = placed;
   if (job.next == 0) job.start = shared_->start_time(placed);
   if (shared_->end_time(placed) >= job.end) {

@@ -1,8 +1,8 @@
 // Row-major 2-D host array. Used for problem inputs (cost grids, images)
-// and as the host-side DP table: the CPU works in natural row-major order
-// while the simulated GPU keeps its own copy in a wavefront-contiguous
-// layout (see layout.h) — mirroring the paper's split between CPU-friendly
-// and coalescing-friendly storage.
+// and as the DP result table: the wavefront engines compute each front
+// contiguously (layout.h order, core/strategies/front_window.h) and drain
+// retired fronts into this row-major grid — the paper's split between
+// coalescing-friendly and consumer-friendly storage.
 #pragma once
 
 #include <cstddef>

@@ -111,11 +111,48 @@ TEST_P(AllSetsTest, FusedMatchesUnfusedAndSerial) {
   }
 }
 
+// The untiled engines with a 3-worker executor handle: fronts, the CPU
+// strips and the window drain all run on the executor's workers, and the
+// table must still match the serial reference.
+TEST_P(AllSetsTest, PooledMatchesSerial) {
+  const Case c = GetParam();
+  const auto probe = make_probe(c);
+
+  RunConfig cfg;
+  cfg.mode = Mode::kCpuSerial;
+  const auto ref = solve(probe, cfg);
+
+  cpu::ThreadPool pool(4);
+  cfg.pool = &pool;
+  cfg.mode = Mode::kCpuParallel;
+  EXPECT_EQ(solve(probe, cfg).table, ref.table) << "cpu-parallel";
+  cfg.mode = Mode::kGpu;
+  EXPECT_EQ(solve(probe, cfg).table, ref.table) << "gpu";
+  const HeteroParams sweeps[] = {{-1, -1}, {0, 1000000}, {1000000, 0}, {5, 5}};
+  for (const HeteroParams& hp : sweeps) {
+    cfg.mode = Mode::kHeterogeneous;
+    cfg.hetero = hp;
+    EXPECT_EQ(solve(probe, cfg).table, ref.table)
+        << "hetero t_switch=" << hp.t_switch << " t_share=" << hp.t_share;
+  }
+}
+
+// The full tier's untiled engines drain their front window into the grid
+// every B fronts. Single-row and single-column tables have exactly rows or
+// cols anti-diagonal fronts, so B-1, B and B+1 end just before, on and
+// just past a block edge; the 2B+3 shapes span three blocks with enough
+// rows per block that the pooled drain splits them across workers.
+constexpr std::size_t kB =
+    detail::GridDrain<V, AntiDiagonalLayout>::kBlock;
+
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
-  const std::size_t shapes[][2] = {{1, 1},  {1, 9},  {9, 1},  {2, 2},
-                                   {6, 6},  {5, 11}, {11, 5}, {17, 17},
-                                   {23, 8}, {8, 23}};
+  const std::size_t shapes[][2] = {
+      {1, 1},          {1, 9},          {9, 1},          {2, 2},
+      {6, 6},          {5, 11},         {11, 5},         {17, 17},
+      {23, 8},         {8, 23},         {kB - 1, 1},     {1, kB - 1},
+      {kB, 1},         {1, kB},         {kB + 1, 6},     {6, kB + 1},
+      {2 * kB + 3, 70}, {70, 2 * kB + 3}};
   for (int mask = 1; mask <= 15; ++mask)
     for (const auto& s : shapes) cases.push_back(Case{mask, s[0], s[1]});
   return cases;
