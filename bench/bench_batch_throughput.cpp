@@ -4,7 +4,8 @@
 // pattern mix (all 15 contributing sets, rotating sizes and rotating
 // cpu/gpu/hetero modes so CPU-only solves overlap accelerator-heavy
 // ones) and records solves/sec, makespan and p50/p99 latency against the
-// serial one-at-a-time baseline in BENCH_batch_throughput.json.
+// serial one-at-a-time baseline in BENCH_batch_throughput.json, plus the
+// host cost per op of the schedule merge as the batch grows.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +20,8 @@
 #include "problems/lcs.h"
 #include "problems/levenshtein.h"
 #include "problems/synthetic.h"
+#include "sim/platform.h"
+#include "sim/timeline_merge.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 
@@ -160,6 +163,81 @@ bool pack_sweep(lddp::bench::JsonWriter& json) {
   std::printf("pack target (>=1.3x solves/sec at batch >= 8): %s\n",
               target_ok ? "PASS" : "FAIL");
   return never_loses;
+}
+
+/// Replays `batch` recorded schedules (cycling through `recorded`) the way
+/// BatchEngine::wait() does: FIFO admission into `concurrency` slots, a
+/// queued job released when the merge completes an in-flight one,
+/// cross-solve packing on. Returns the shared makespan.
+double replay_merge(const std::vector<sim::Timeline>& recorded,
+                    std::size_t batch, std::size_t concurrency,
+                    const sim::PlatformSpec& spec) {
+  sim::Platform platform(spec);
+  sim::TimelineMerger merger(platform.timeline());
+  merger.enable_packing(spec.gpu);
+  std::size_t next = 0;
+  auto dispatch = [&](double release, sim::OpId release_dep) {
+    while (next < batch) {
+      const sim::Timeline& t = recorded[next++ % recorded.size()];
+      if (t.op_count() == 0) continue;
+      merger.add(t, release, release_dep);
+      return;
+    }
+  };
+  for (std::size_t s = 0; s < concurrency; ++s) dispatch(0.0, sim::kNoOp);
+  while (merger.busy()) {
+    const std::size_t done = merger.step();
+    if (done == sim::TimelineMerger::kNone) continue;
+    dispatch(merger.job_end(done), merger.job_last_op(done));
+  }
+  return platform.elapsed();
+}
+
+/// Merge scaling: host wall time per merged op of the schedule replay at
+/// growing batch sizes. The merger scans only jobs with unplaced ops —
+/// at most `concurrency` of them — so ns/op must not grow with the number
+/// of jobs admitted. Gate: ns/op at batch 2048 <= 2x ns/op at batch 32
+/// (a merger that scans every admitted job grows linearly and fails).
+bool merge_sweep(lddp::bench::JsonWriter& json) {
+  constexpr std::size_t kConcurrency = 4;
+  constexpr std::size_t kDistinct = 32;
+  std::printf("\n=== Schedule merge scaling: recorded small-solve timelines, "
+              "fifo, concurrency=%zu, packing on, wall best-of-5 ===\n",
+              kConcurrency);
+  // Record the small-solve mix once; larger batches cycle through it.
+  const sim::PlatformSpec spec = BatchConfig{}.platform;
+  const std::vector<MixCase> mix = make_small_mix(kDistinct);
+  std::vector<sim::Timeline> recorded(kDistinct);
+  for (std::size_t k = 0; k < kDistinct; ++k) {
+    RunConfig rc;
+    rc.mode = mix[k].mode;
+    rc.platform = spec;
+    rc.record_timeline = &recorded[k];
+    solve(make_problem(mix[k]), rc);
+  }
+  std::printf("%6s %10s %12s %12s %14s\n", "batch", "ops", "merge_ms",
+              "ns/op", "makespan_ms");
+  double ns_first = 0.0, ns_last = 0.0;
+  for (std::size_t batch : {std::size_t{32}, std::size_t{256},
+                            std::size_t{2048}}) {
+    std::size_t ops = 0;
+    for (std::size_t k = 0; k < batch; ++k)
+      ops += recorded[k % kDistinct].op_count();
+    double makespan = 0.0;
+    const double wall = lddp::bench::min_wall_seconds(
+        [&] { makespan = replay_merge(recorded, batch, kConcurrency, spec); },
+        /*reps=*/5, /*warmup=*/1);
+    const double ns_per_op = wall / static_cast<double>(ops) * 1e9;
+    json.record_wall("merge/fifo4", batch, wall * 1e3, 0.0, ns_per_op);
+    std::printf("%6zu %10zu %12.3f %12.1f %14.3f\n", batch, ops, wall * 1e3,
+                ns_per_op, makespan * 1e3);
+    if (ns_first == 0.0) ns_first = ns_per_op;
+    ns_last = ns_per_op;
+  }
+  const bool gate_ok = ns_last <= 2.0 * ns_first;
+  std::printf("merge gate (ns/op at batch 2048 <= 2x batch 32): %s\n",
+              gate_ok ? "PASS" : "FAIL");
+  return gate_ok;
 }
 
 std::string rand_str(std::size_t n, std::uint64_t seed) {
@@ -387,10 +465,11 @@ bool sweep() {
   const bool pack_ok = pack_sweep(json);
   const bool lane_ok = lane_sweep(json);
   const bool lifecycle_ok = lifecycle_sweep(json);
+  const bool merge_ok = merge_sweep(json);
   json.save();
   std::printf("throughput gate (>=1.5x solves/sec at batch >= 8): %s\n",
               throughput_ok ? "PASS" : "FAIL");
-  return pack_ok && lane_ok && lifecycle_ok;
+  return pack_ok && lane_ok && lifecycle_ok && merge_ok;
 }
 
 void BM_BatchMerge8(benchmark::State& state) {

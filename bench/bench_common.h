@@ -85,12 +85,14 @@ class JsonWriter {
   /// Wall-clock-only record for benches with no simulated timeline (e.g.
   /// host-side throughput ablations). Emits no `simulated_ms` field —
   /// previously such rows carried a misleading `"simulated_ms": 0.000000`.
-  /// `cells_per_s` > 0 additionally records achieved cell throughput.
+  /// `cells_per_s` > 0 additionally records achieved cell throughput;
+  /// `ns_per_op` > 0 records host nanoseconds per simulated op handled.
   void record_wall(const std::string& label, std::size_t size, double wall_ms,
-                   double cells_per_s = 0.0) {
+                   double cells_per_s = 0.0, double ns_per_op = 0.0) {
     Row r{label, size, 0.0, wall_ms};
     r.has_sim = false;
     r.cells_per_s = cells_per_s;
+    r.ns_per_op = ns_per_op;
     rows_.push_back(r);
   }
 
@@ -138,6 +140,8 @@ class JsonWriter {
       if (r.has_wall) std::fprintf(f, ", \"wall_ms\": %.6f", r.wall_ms);
       if (r.cells_per_s > 0.0)
         std::fprintf(f, ", \"cells_per_s\": %.0f", r.cells_per_s);
+      if (r.ns_per_op > 0.0)
+        std::fprintf(f, ", \"ns_per_op\": %.1f", r.ns_per_op);
       std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -152,6 +156,7 @@ class JsonWriter {
     double simulated_ms;
     double wall_ms;
     double cells_per_s = 0.0;
+    double ns_per_op = 0.0;
     bool has_sim = true;
     bool has_wall = true;
   };

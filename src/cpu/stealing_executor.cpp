@@ -150,7 +150,7 @@ void StealingExecutor::execute_task(steal_detail::RegionCore* core,
     hi = mid;
   }
   try {
-    // Per-morsel fault draw (site kStripWorker), against the submitting
+    // Per-morsel fault draw (site kExecutorMorsel), against the submitting
     // master's plan: the salt is a pure function of the region's
     // deterministic sequence number and the morsel's offset, so a chaos
     // schedule replays identically under any steal interleaving.
@@ -158,9 +158,9 @@ void StealingExecutor::execute_task(steal_detail::RegionCore* core,
     if (ctx.plan != nullptr) {
       const std::uint64_t salt =
           (core->region_seq << 24) ^ (lo / kMorselQuantum);
-      if (ctx.plan->should_fail(fault::Site::kStripWorker, ctx.solve,
+      if (ctx.plan->should_fail(fault::Site::kExecutorMorsel, ctx.solve,
                                 ctx.attempt, salt))
-        throw fault::InjectedFault(fault::Site::kStripWorker, ctx.solve,
+        throw fault::InjectedFault(fault::Site::kExecutorMorsel, ctx.solve,
                                    ctx.attempt);
     }
     (*core->body)(lo, hi);

@@ -24,7 +24,7 @@
 //    midpoint, whether the upper half is pushed, stolen, or executed
 //    inline on deque overflow. Steal interleaving decides only *who*
 //    runs a morsel, never *which* morsels exist.
-//  * Fault injection (site kStripWorker) is drawn once per morsel with a
+//  * Fault injection (site kExecutorMorsel) is drawn once per morsel with a
 //    salt derived from (region sequence, morsel offset) — both
 //    interleaving-independent — so a chaos plan's failure schedule
 //    replays exactly, regardless of worker count or steal order.

@@ -67,36 +67,31 @@ OpId Timeline::record(ResourceId resource, double duration_s,
   return static_cast<OpId>(ends_.size() - 1);
 }
 
+void Timeline::reserve(std::size_t ops, std::size_t deps) {
+  if (ops > ends_.capacity()) {
+    const std::size_t cap = std::max(ops, 2 * ends_.capacity());
+    starts_.reserve(cap);
+    ends_.reserve(cap);
+    op_resources_.reserve(cap);
+    labels_.reserve(cap);
+    groups_.reserve(cap);
+    pack_overheads_.reserve(cap);
+    dep_offsets_.reserve(cap + 1);
+  }
+  if (deps > dep_pool_.capacity())
+    dep_pool_.reserve(std::max(deps, 2 * dep_pool_.capacity()));
+}
+
 void Timeline::annotate_pack(OpId op, double seconds) {
   LDDP_CHECK(op < pack_overheads_.size());
   LDDP_CHECK_MSG(seconds >= 0.0, "negative pack overhead");
   pack_overheads_[op] += seconds;
 }
 
-double Timeline::op_pack_overhead(OpId op) const {
-  LDDP_CHECK(op < pack_overheads_.size());
-  return pack_overheads_[op];
-}
-
 OpId Timeline::record(ResourceId resource, double duration_s, OpId dep1,
                       OpId dep2, const char* label) {
   const OpId deps[2] = {dep1, dep2};
   return record(resource, duration_s, std::span<const OpId>(deps, 2), label);
-}
-
-double Timeline::start_time(OpId op) const {
-  LDDP_CHECK(op < starts_.size());
-  return starts_[op];
-}
-
-double Timeline::end_time(OpId op) const {
-  LDDP_CHECK(op < ends_.size());
-  return ends_[op];
-}
-
-double Timeline::resource_free_at(ResourceId r) const {
-  LDDP_CHECK(r < resources_.size());
-  return resources_[r].free_at;
 }
 
 double Timeline::busy_time(ResourceId r) const {
@@ -107,11 +102,6 @@ double Timeline::busy_time(ResourceId r) const {
 const std::string& Timeline::resource_name(ResourceId r) const {
   LDDP_CHECK(r < resources_.size());
   return resources_[r].name;
-}
-
-Timeline::ResourceId Timeline::op_resource(OpId op) const {
-  LDDP_CHECK(op < op_resources_.size());
-  return op_resources_[op];
 }
 
 GroupId Timeline::begin_group() {
@@ -128,17 +118,6 @@ void Timeline::end_group() {
 GroupId Timeline::op_group(OpId op) const {
   LDDP_CHECK(op < groups_.size());
   return groups_[op];
-}
-
-const char* Timeline::op_label(OpId op) const {
-  LDDP_CHECK(op < labels_.size());
-  return labels_[op];
-}
-
-std::span<const OpId> Timeline::op_deps(OpId op) const {
-  LDDP_CHECK(op + 1 < dep_offsets_.size());
-  return std::span<const OpId>(dep_pool_.data() + dep_offsets_[op],
-                               dep_offsets_[op + 1] - dep_offsets_[op]);
 }
 
 Timeline::ResourceId Timeline::find_resource(const std::string& name) const {

@@ -55,14 +55,25 @@ class Timeline {
   OpId record(ResourceId resource, double duration_s, OpId dep,
               OpId dep2 = kNoOp, const char* label = nullptr);
 
-  double start_time(OpId op) const;
-  double end_time(OpId op) const;
+  // The per-op accessors below are inline: schedule replay
+  // (sim/timeline_merge.h) calls several of them for every op it places.
+  double start_time(OpId op) const {
+    LDDP_CHECK(op < starts_.size());
+    return starts_[op];
+  }
+  double end_time(OpId op) const {
+    LDDP_CHECK(op < ends_.size());
+    return ends_[op];
+  }
 
   /// Completion time of the last operation recorded so far.
   double makespan() const { return makespan_; }
 
   /// Time the resource is next available.
-  double resource_free_at(ResourceId r) const;
+  double resource_free_at(ResourceId r) const {
+    LDDP_CHECK(r < resources_.size());
+    return resources_[r].free_at;
+  }
 
   /// Total occupied time on a resource — utilization numerator.
   double busy_time(ResourceId r) const;
@@ -75,17 +86,33 @@ class Timeline {
   GroupId op_group(OpId op) const;  ///< kNoGroup for ungrouped ops
 
   std::size_t op_count() const { return ends_.size(); }
+  /// Recorded dependency entries across all ops (kNoOp entries excluded).
+  std::size_t dep_count() const { return dep_pool_.size(); }
+  /// Makes room for `ops` operations and `deps` dependency entries in total
+  /// without reallocation. Capacity grows at least geometrically, so
+  /// raising the totals call by call stays amortized O(1) per op.
+  void reserve(std::size_t ops, std::size_t deps);
   std::size_t resource_count() const { return resources_.size(); }
   const std::string& resource_name(ResourceId r) const;
-  ResourceId op_resource(OpId op) const;
-  const char* op_label(OpId op) const;  ///< never null (may be "")
+  ResourceId op_resource(OpId op) const {
+    LDDP_CHECK(op < op_resources_.size());
+    return op_resources_[op];
+  }
+  const char* op_label(OpId op) const {  ///< never null (may be "")
+    LDDP_CHECK(op < labels_.size());
+    return labels_[op];
+  }
   double op_duration(OpId op) const { return end_time(op) - start_time(op); }
 
   /// The operation's recorded dependencies (kNoOp entries filtered out).
   /// Retained so a recorded schedule can be *replayed* elsewhere — the
   /// batch engine re-times per-solve schedules against a shared platform
   /// timeline while preserving each solve's internal dependency structure.
-  std::span<const OpId> op_deps(OpId op) const;
+  std::span<const OpId> op_deps(OpId op) const {
+    LDDP_CHECK(op + 1 < dep_offsets_.size());
+    return std::span<const OpId>(dep_pool_.data() + dep_offsets_[op],
+                                 dep_offsets_[op + 1] - dep_offsets_[op]);
+  }
 
   /// Marks `seconds` of the op's recorded duration as *amortizable
   /// submission cost* — driver launch overhead, graph-node issue,
@@ -95,7 +122,10 @@ class Timeline {
   /// rides in another tenant's launch. Annotating twice accumulates.
   void annotate_pack(OpId op, double seconds);
   /// Amortizable submission seconds of the op (0 for ordinary ops).
-  double op_pack_overhead(OpId op) const;
+  double op_pack_overhead(OpId op) const {
+    LDDP_CHECK(op < pack_overheads_.size());
+    return pack_overheads_[op];
+  }
 
   /// Installs per-request lifecycle control: every subsequent record()
   /// checks the cancellation flag before recording (throws

@@ -30,6 +30,14 @@
 // (admission rank, then op order), so the merged schedule — packed or not —
 // is independent of any real-thread interleaving. This is what makes batch
 // runs deterministically replayable.
+//
+// Cost: each step scans only the *active set* — the admitted jobs that
+// still have unplaced ops, kept in ascending rank order — and computes each
+// active head's feasible start once, reusing it for the pack-rider search.
+// That start is the max of a cached part (release and dependency ends,
+// walked once when the op becomes its job's head) and its resource's free
+// time. A batch replayed through `concurrency` slots therefore merges in
+// O(ops x concurrency), independent of how many jobs were admitted before.
 #pragma once
 
 #include <cstddef>
@@ -100,21 +108,37 @@ class TimelineMerger {
     OpId release_dep;
     bool packable = true;
     std::size_t next = 0;              // head: next recorded op to place
+    // The head's shared resource, and the part of its feasible start no
+    // later placement can move: the release and its dependencies' ends.
+    Timeline::ResourceId head_res = 0;
+    double head_ready = 0.0;
     std::vector<OpId> shared_ids;      // recorded op id -> shared op id
     std::vector<Timeline::ResourceId> resource_map;
     double start = 0.0, end = 0.0;
     OpId last_op = kNoOp;
   };
 
+  /// Caches head_res and head_ready for the job's (new) head op.
+  void load_head(Job& job) const;
+  /// Earliest start of the job's head op on the shared timeline.
   double feasible_start(const Job& job) const;
   /// Places job `rank`'s head op with `duration` (the recorded duration
-  /// for window heads, the PackedKernel price for riders) and queues the
-  /// job on finished_ if that was its last op.
+  /// for window heads, the PackedKernel price for riders); when that was
+  /// its last op, drops the job from active_ and queues it on finished_.
   void place(std::size_t rank, double duration);
 
   Timeline* shared_;
   std::vector<Job> jobs_;
-  std::size_t remaining_ = 0;  // unscheduled ops across all jobs
+  std::size_t remaining_ = 0;       // unscheduled ops across all jobs
+  std::size_t remaining_deps_ = 0;  // shared dep-pool entries still to come
+  // Ranks of jobs with unplaced ops, ascending (ranks only grow, so add()
+  // appends); step() scans only these.
+  std::vector<std::size_t> active_;
+  // Per-step scratch: feasible start of each active_ entry, and the pack
+  // riders of the current window.
+  std::vector<double> starts_;
+  std::vector<std::size_t> riders_;
+  std::vector<OpId> deps_;  // place() scratch: one op's shared deps
   bool packing_ = false;
   GpuSpec pack_spec_;
   std::size_t pack_count_ = 0;

@@ -27,7 +27,9 @@
 namespace lddp::fault {
 
 /// Named injection sites — every place the simulated platform or the
-/// execution layers can be made to fail.
+/// execution layers can be made to fail. Each value is hashed into every
+/// decision (FaultPlan::should_fail), so sites may be renamed or appended
+/// but never renumbered: that would change every recorded fault schedule.
 enum class Site : std::uint8_t {
   kPoolAcquire = 0,  ///< BufferPool::acquire (shared arena cache)
   kQuotaAcquire,     ///< QuotaBufferPool::acquire (per-solve quota view)
@@ -35,7 +37,7 @@ enum class Site : std::uint8_t {
   kTransferD2H,      ///< Device D2H copy submission
   kKernelLaunch,     ///< Device / LaunchGraph kernel launch
   kGraphReplay,      ///< LaunchGraph::replay fused submission
-  kStripWorker,      ///< StealingExecutor morsel of a CPU front
+  kExecutorMorsel,   ///< StealingExecutor morsel of a CPU front
   kLaneKernel,       ///< lane-cohort lockstep row
   kRematerialize,    ///< FrontierTable checkpoint-band rematerialization
 };
@@ -55,8 +57,8 @@ inline const char* to_string(Site s) {
       return "kernel-launch";
     case Site::kGraphReplay:
       return "graph-replay";
-    case Site::kStripWorker:
-      return "strip-worker";
+    case Site::kExecutorMorsel:
+      return "executor-morsel";
     case Site::kLaneKernel:
       return "lane-kernel";
     case Site::kRematerialize:

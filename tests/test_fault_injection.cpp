@@ -95,6 +95,14 @@ TEST(FaultPlan, PerSiteRates) {
   EXPECT_FALSE(plan.should_fail(Site::kKernelLaunch, 0, 0));
 }
 
+/// Site values feed the decision hash. The per-morsel site, formerly
+/// kStripWorker ("strip-worker"), keeps value 6 so fault schedules recorded
+/// under the old name replay unchanged.
+TEST(FaultPlan, ExecutorMorselSiteKeepsItsHashValue) {
+  EXPECT_EQ(static_cast<int>(Site::kExecutorMorsel), 6);
+  EXPECT_STREQ(to_string(Site::kExecutorMorsel), "executor-morsel");
+}
+
 // ---------------------------------------------------------------------------
 // FaultScope / maybe_throw
 
@@ -449,10 +457,10 @@ TEST(BatchLifecycle, NoRetriesMeansStructuredFailure) {
   EXPECT_THROW(f2->get(), fault::InjectedFault);
 }
 
-/// Strip-worker injection: a multi-threaded CPU solve whose executor
+/// Executor-morsel injection: a multi-threaded CPU solve whose executor
 /// morsels fault must propagate the worker exception, retry down the
 /// ladder, and still produce bit-identical results.
-TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
+TEST(BatchLifecycle, ExecutorMorselFaultsRetryCleanly) {
   BatchConfig bc;
   bc.worker_threads = 0;
   bc.threads_per_solve = 4;
@@ -460,7 +468,7 @@ TEST(BatchLifecycle, StripWorkerFaultsRetryCleanly) {
   bc.max_retries = 2;
   bc.chaos = FaultPlan{};
   bc.chaos.seed = 77;
-  bc.chaos.set_rate(Site::kStripWorker, 0.6);
+  bc.chaos.set_rate(Site::kExecutorMorsel, 0.6);
   bc.lane_pack = 0;
   BatchEngine engine(bc);
   const auto p = make_deps_problem(ContributingSet(0b0111), 64, 64, 9);

@@ -1,12 +1,15 @@
 // Cross-solve wavefront packing: PackedKernel segment pricing, pack-window
 // formation and dependency preservation in the TimelineMerger, completion
-// draining, deterministic replay across real worker counts, packed
-// batches on the engine's stealing executor, and the cross-solve tuner
-// cache.
+// draining, active-set edge cases, pinned merged schedules, deterministic
+// replay across real worker counts, packed batches on the engine's
+// stealing executor, and the cross-solve tuner cache.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/batch_engine.h"
@@ -18,6 +21,7 @@
 #include "sim/kernel.h"
 #include "sim/timeline.h"
 #include "sim/timeline_merge.h"
+#include "util/rng.h"
 
 namespace lddp {
 namespace {
@@ -237,6 +241,302 @@ TEST(PackScheduler, StaggeredReleasesDoNotPack) {
 
   EXPECT_EQ(merger.pack_count(), 0u);
   EXPECT_NEAR(shared.makespan(), 130e-6, kTol);  // FIFO on the engine
+}
+
+// ---------------------------------------------------------------------------
+// Active-set edge cases: the merger only scans jobs with unplaced ops, so
+// jobs that finish, arrive late or never had ops must not disturb it.
+
+TEST(PackScheduler, PackDrainsActiveSetThenChainedAddResumes) {
+  const sim::GpuSpec spec = sim::GpuSpec::tesla_k20();
+  const sim::Timeline a = one_op("gpu", 100e-6, 40e-6);
+  const sim::Timeline b = one_op("gpu", 100e-6, 40e-6);
+  const sim::Timeline c = one_op("gpu", 100e-6, 40e-6);
+  const sim::Timeline d = one_op("gpu", 30e-6, 0.0);
+
+  sim::Timeline shared;
+  shared.add_resource("gpu");
+  sim::TimelineMerger merger(shared);
+  merger.enable_packing(spec);
+  merger.add(a, 0.0);
+  merger.add(b, 0.0);
+  merger.add(c, 0.0);
+
+  // One pack places every op and finishes all three jobs: no job is left
+  // to schedule, but the queued completions keep the merger busy.
+  EXPECT_EQ(merger.step(), 0u);
+  EXPECT_EQ(shared.op_count(), 3u);
+  EXPECT_TRUE(merger.busy());
+  EXPECT_EQ(merger.step(), 1u);
+  EXPECT_EQ(shared.op_count(), 3u);  // draining schedules nothing
+  EXPECT_TRUE(merger.busy());
+
+  // A job released by the last pack rider, chained on its shared op.
+  const double gate = merger.job_end(2);
+  const std::size_t rank_d = merger.add(d, gate, merger.job_last_op(2));
+  EXPECT_EQ(rank_d, 3u);
+  EXPECT_EQ(merger.step(), 2u);  // queued completion first
+  EXPECT_EQ(shared.op_count(), 3u);
+  EXPECT_EQ(merger.step(), rank_d);
+  EXPECT_FALSE(merger.busy());
+  EXPECT_EQ(merger.job_start(rank_d), gate);
+  EXPECT_NEAR(merger.job_end(rank_d), gate + 30e-6, kTol);
+  EXPECT_EQ(shared.makespan(), merger.job_end(rank_d));
+  EXPECT_EQ(merger.pack_count(), 1u);
+  EXPECT_EQ(merger.packed_ops(), 2u);
+}
+
+TEST(PackScheduler, JobsAddedAfterEarlierOnesFinish) {
+  const sim::GpuSpec spec = sim::GpuSpec::tesla_k20();
+  const double issue = spec.packed_segment_issue_us * 1e-6;
+  const sim::Timeline a = one_op("gpu", 100e-6, 40e-6);
+  const sim::Timeline b = one_op("gpu", 50e-6, 20e-6);
+  const sim::Timeline c = one_op("gpu", 50e-6, 20e-6);
+
+  sim::Timeline shared;
+  shared.add_resource("gpu");
+  sim::TimelineMerger merger(shared);
+  merger.enable_packing(spec);
+  merger.add(a, 0.0);
+  EXPECT_EQ(merger.step(), 0u);
+  EXPECT_FALSE(merger.busy());
+
+  // Two late arrivals behind a finished job: they pack with each other,
+  // the lower rank heads the pack, and rank numbering continues.
+  EXPECT_EQ(merger.add(b, merger.job_end(0), merger.job_last_op(0)), 1u);
+  EXPECT_EQ(merger.add(c, merger.job_end(0), merger.job_last_op(0)), 2u);
+  std::vector<std::size_t> completions;
+  while (merger.busy()) {
+    const std::size_t done = merger.step();
+    if (done != sim::TimelineMerger::kNone) completions.push_back(done);
+  }
+  EXPECT_EQ(completions, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(merger.pack_count(), 1u);
+  EXPECT_EQ(merger.job_start(1), 100e-6);
+  EXPECT_NEAR(merger.job_end(1), 150e-6, kTol);
+  EXPECT_NEAR(merger.job_end(2), 180e-6 + issue, kTol);
+  // The finished job's record is untouched by the later merge.
+  EXPECT_EQ(merger.job_start(0), 0.0);
+  EXPECT_NEAR(merger.job_end(0), 100e-6, kTol);
+}
+
+TEST(PackScheduler, ZeroOpJobNeverSchedulesOrCompletes) {
+  const sim::GpuSpec spec = sim::GpuSpec::tesla_k20();
+  sim::Timeline empty;
+  empty.add_resource("gpu");
+  const sim::Timeline a = one_op("gpu", 100e-6, 40e-6);
+  const sim::Timeline b = one_op("gpu", 100e-6, 40e-6);
+
+  // Reference: the same two jobs without the empty one between them.
+  sim::Timeline ref_shared;
+  ref_shared.add_resource("gpu");
+  sim::TimelineMerger ref(ref_shared);
+  ref.enable_packing(spec);
+  ref.add(a, 0.0);
+  ref.add(b, 0.0);
+  while (ref.busy()) ref.step();
+
+  sim::Timeline shared;
+  shared.add_resource("gpu");
+  sim::TimelineMerger merger(shared);
+  merger.enable_packing(spec);
+  EXPECT_EQ(merger.add(empty, 0.0), 0u);
+  EXPECT_FALSE(merger.busy());  // nothing to place, nothing to report
+  merger.add(a, 0.0);
+  EXPECT_EQ(merger.add(empty, 0.0), 2u);
+  merger.add(b, 0.0);
+  std::vector<std::size_t> completions;
+  while (merger.busy()) {
+    const std::size_t done = merger.step();
+    if (done != sim::TimelineMerger::kNone) completions.push_back(done);
+  }
+  // The empty jobs take ranks but are never reported complete; the others
+  // merge exactly as if the empty jobs were absent.
+  EXPECT_EQ(completions, (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(shared.makespan(), ref_shared.makespan());
+  EXPECT_EQ(merger.job_end(3), ref.job_end(1));
+  EXPECT_EQ(merger.pack_count(), ref.pack_count());
+  EXPECT_EQ(merger.job_start(0), 0.0);
+  EXPECT_EQ(merger.job_end(0), 0.0);
+  EXPECT_EQ(merger.job_last_op(2), sim::kNoOp);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned merged schedules.
+//
+// 240 seeded synthetic recorded timelines — cpu, gpu.compute and h2d/d2h
+// ops with intra-job dependencies, annotate_pack annotations, zero-op jobs
+// and retry-style releases (a release later than the end of the
+// release_dep) — merged FIFO at concurrency 1, 4 and 16 with packing on
+// and off. The constants were captured from the merger at commit aa562ab,
+// which scanned every admitted job on every step; the active-set merger
+// must reproduce every placed op bit for bit.
+
+constexpr const char* kMergeResources[] = {"cpu", "gpu.compute",
+                                           "gpu.copy.h2d", "gpu.copy.d2h"};
+
+/// One synthetic recorded solve. Durations are whole microseconds so that
+/// contended heads often share a feasible start and form packs.
+sim::Timeline synthetic_job(std::uint64_t seed) {
+  Rng rng(seed);
+  sim::Timeline tl;
+  // A job-specific registration order: the merger must map resources by
+  // name, not by id.
+  const auto rot = static_cast<std::size_t>(rng.uniform_int(0, 3));
+  sim::Timeline::ResourceId res[4];
+  for (std::size_t k = 0; k < 4; ++k) {
+    const std::size_t idx = (k + rot) % 4;
+    res[idx] = tl.add_resource(kMergeResources[idx]);
+  }
+  if (rng.uniform_int(0, 11) == 0) return tl;  // a solve that recorded nothing
+
+  const auto ops = static_cast<std::size_t>(rng.uniform_int(1, 40));
+  std::vector<sim::OpId> deps;
+  for (std::size_t k = 0; k < ops; ++k) {
+    const std::int64_t roll = rng.uniform_int(0, 19);
+    const std::size_t r = roll < 7 ? 0 : roll < 14 ? 1 : roll < 17 ? 2 : 3;
+    const double dur = static_cast<double>(rng.uniform_int(0, 8)) * 1e-6;
+    deps.clear();
+    if (k > 0 && rng.uniform_int(0, 9) < 7)
+      deps.push_back(static_cast<sim::OpId>(k - 1));
+    if (k > 1 && rng.uniform_int(0, 9) < 3)
+      deps.push_back(static_cast<sim::OpId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(k) - 2)));
+    const sim::OpId op = tl.record(res[r], dur, deps, kMergeResources[r]);
+    // Annotations may exceed the op (the rider clamp) or be zero.
+    if (r != 0 && rng.uniform_int(0, 9) < 6)
+      tl.annotate_pack(op, static_cast<double>(rng.uniform_int(0, 10)) *
+                               0.5e-6);
+  }
+  return tl;
+}
+
+struct FnvHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+struct MergeOutcome {
+  double makespan;
+  std::size_t packs;
+  std::size_t packed_ops;
+  std::uint64_t ops_hash;   // every shared op: resource, start, end, group
+  std::uint64_t jobs_hash;  // every job's start/end, then completion order
+};
+
+/// FIFO admission into `concurrency` slots, as BatchEngine::build_report
+/// replays a batch. Every fifth job carries a retry backoff, so it is
+/// released after the op that freed its slot ends; a zero-op job holds its
+/// slot for no time and the next job takes it at once.
+MergeOutcome merge_fifo(const std::vector<sim::Timeline>& jobs,
+                        std::size_t concurrency, bool packing) {
+  sim::Timeline shared;
+  for (const char* r : kMergeResources) shared.add_resource(r);
+  sim::TimelineMerger merger(shared);
+  if (packing) merger.enable_packing(sim::GpuSpec::tesla_k20());
+  std::size_t next = 0;
+  auto dispatch = [&](double release, sim::OpId release_dep) {
+    while (next < jobs.size()) {
+      const std::size_t j = next++;
+      const double backoff =
+          j % 5 == 3 ? static_cast<double>(j % 7 + 1) * 1.5e-6 : 0.0;
+      EXPECT_EQ(merger.add(jobs[j], release + backoff, release_dep,
+                           /*packable=*/j % 9 != 4),
+                j);
+      if (jobs[j].op_count() > 0) return;
+    }
+  };
+  for (std::size_t s = 0; s < concurrency; ++s) dispatch(0.0, sim::kNoOp);
+  std::vector<std::size_t> completions;
+  while (merger.busy()) {
+    const std::size_t done = merger.step();
+    if (done == sim::TimelineMerger::kNone) continue;
+    completions.push_back(done);
+    dispatch(merger.job_end(done), merger.job_last_op(done));
+  }
+  EXPECT_EQ(next, jobs.size());
+
+  MergeOutcome out{shared.makespan(), merger.pack_count(),
+                   merger.packed_ops(), 0, 0};
+  FnvHash ops;
+  for (sim::OpId op = 0; op < shared.op_count(); ++op) {
+    ops.add(std::uint64_t{shared.op_resource(op)});
+    ops.add(shared.start_time(op));
+    ops.add(shared.end_time(op));
+    ops.add(std::uint64_t{shared.op_group(op)});
+  }
+  FnvHash ends;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    ends.add(merger.job_start(j));
+    ends.add(merger.job_end(j));
+  }
+  for (std::size_t j : completions) ends.add(std::uint64_t{j});
+  out.ops_hash = ops.h;
+  out.jobs_hash = ends.h;
+  return out;
+}
+
+struct PinnedMerge {
+  std::size_t concurrency;
+  bool packing;
+  MergeOutcome want;
+};
+
+constexpr PinnedMerge kPinnedMerges[] = {
+    {1, false,
+     {0x1.cf0f9d2bf54f9p-7, 0, 0, 0x429a39cb9343aa0ULL,
+      0x4f5eb7ad7e352090ULL}},
+    {1, true,
+     {0x1.cf0f9d2bf54f9p-7, 0, 0, 0x429a39cb9343aa0ULL,
+      0x4f5eb7ad7e352090ULL}},
+    {4, false,
+     {0x1.f7be121ee678bp-8, 0, 0, 0x5ef02fefe57913d3ULL,
+      0xf76e6de8eba798e7ULL}},
+    {4, true,
+     {0x1.e448ea549d131p-8, 240, 262, 0xdea80ce2db04a18bULL,
+      0x45d313fd27c2a457ULL}},
+    {16, false,
+     {0x1.aed56b00ffdc8p-8, 0, 0, 0x48f21af4f6d0eec6ULL,
+      0xfeef9002cf6a9267ULL}},
+    {16, true,
+     {0x1.97c3d68405b52p-8, 354, 435, 0x31fcaaf057edcd5dULL,
+      0x79e8a190ddcba439ULL}},
+};
+
+TEST(PackScheduler, MergedSchedulesArePinned) {
+  std::vector<sim::Timeline> jobs;
+  for (std::uint64_t s = 0; s < 240; ++s) jobs.push_back(synthetic_job(s));
+  for (const PinnedMerge& pin : kPinnedMerges) {
+    const MergeOutcome got = merge_fifo(jobs, pin.concurrency, pin.packing);
+    // On a mismatch, print the row in the table's own form.
+    const auto row = [&] {
+      char buf[160];
+      std::snprintf(buf, sizeof buf,
+                    "{%zu, %s, {%a, %zu, %zu, 0x%llxULL, 0x%llxULL}}",
+                    pin.concurrency, pin.packing ? "true" : "false",
+                    got.makespan, got.packs, got.packed_ops,
+                    static_cast<unsigned long long>(got.ops_hash),
+                    static_cast<unsigned long long>(got.jobs_hash));
+      return std::string(buf);
+    };
+    EXPECT_EQ(got.makespan, pin.want.makespan) << row();
+    EXPECT_EQ(got.packs, pin.want.packs) << row();
+    EXPECT_EQ(got.packed_ops, pin.want.packed_ops) << row();
+    EXPECT_EQ(got.ops_hash, pin.want.ops_hash) << row();
+    EXPECT_EQ(got.jobs_hash, pin.want.jobs_hash) << row();
+    // A single slot never has a co-ready tenant to pack with.
+    if (pin.packing && pin.concurrency > 1) {
+      EXPECT_GT(got.packs, 0u) << row();
+    } else {
+      EXPECT_EQ(got.packs, 0u) << row();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

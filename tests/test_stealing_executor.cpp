@@ -218,7 +218,7 @@ TEST(StealingExecutor, ConcurrentMastersShareOneExecutor) {
 }
 
 // ---------------------------------------------------------------------
-// Chaos determinism: the per-morsel kStripWorker draw is a pure function
+// Chaos determinism: the per-morsel kExecutorMorsel draw is a pure function
 // of (plan, solve, attempt, region ordinal, morsel offset) — never of
 // worker count or steal interleaving.
 
@@ -240,7 +240,7 @@ TEST(StealingChaos, MorselFaultsIndependentOfWorkerCount) {
   plan.seed = 99;
   // ~98 morsels per region: a 1% rate makes throw-vs-complete genuinely
   // vary across attempts instead of saturating at "always throws".
-  plan.set_rate(Site::kStripWorker, 0.01);
+  plan.set_rate(Site::kExecutorMorsel, 0.01);
   // Fixed grain => identical morsel sets => identical fault schedules on
   // every executor with at least one worker, on every repetition.
   StealingExecutor one(1), four(4), sixteen(16);
@@ -259,7 +259,7 @@ TEST(StealingChaos, RateEndpointsAreCertainties) {
   StealingExecutor exec(2);
   FaultPlan always;
   always.seed = 3;
-  always.set_rate(Site::kStripWorker, 1.0);
+  always.set_rate(Site::kExecutorMorsel, 1.0);
   EXPECT_TRUE(armed_region_throws(exec, always, 0));
   FaultPlan never;
   never.seed = 3;  // rate stays 0
@@ -274,7 +274,7 @@ TEST(StealingChaos, FaultedRegionRetriesCleanly) {
   constexpr std::size_t kN = 200000;
   FaultPlan plan;
   plan.seed = 41;
-  plan.set_rate(Site::kStripWorker, 0.7);
+  plan.set_rate(Site::kExecutorMorsel, 0.7);
   std::vector<std::atomic<std::uint8_t>> counts(kN);
   auto attempt_once = [&](const FaultPlan* p, std::uint64_t attempt) {
     for (auto& c : counts) c.store(0);
