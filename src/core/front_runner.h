@@ -1,10 +1,14 @@
-// Batch-front runner: splits a front (or any sub-range of one) into affine
-// interior runs, packs each run's neighbour values into dense spans, and
-// hands them to the problem's `compute_front` hook — falling back to the
-// per-cell scalar path for edges, short runs, and shapes the problem does
-// not implement. Used by every execution layer (CPU strips, parallel_for
-// chunks, tile interiors, simulated-GPU kernels); results are always
-// bit-identical to the scalar path.
+// Front runner: the one way an untiled engine executes a front (or any
+// sub-range of one). It splits the range into affine interior runs, packs
+// each run's neighbour values into dense spans, and computes the run from
+// the spans: through the problem's `compute_front` hook when it has one
+// and accepts the shape, otherwise through a generic per-lane loop that
+// calls `compute` on the packed values. Edges, short runs and
+// non-batchable layouts go through the per-cell `compute_cell` path, as
+// does everything when batching is off (the differential reference).
+// Results are always bit-identical to the per-cell path. The row sweeps
+// below serve the serial scan and the tile interiors of the tiled
+// engines.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +27,7 @@ namespace lddp::detail {
 /// Runs shorter than this go scalar: the span setup (interior trim, stride
 /// probes, possible gather) costs more than it saves on a handful of lanes.
 inline constexpr std::size_t kMinBatchRun = 8;
+static_assert(kMinBatchRun >= 2, "stride probes read lane 1");
 
 /// One affine segment of a front's enumeration: front positions
 /// [pos, pos + len) are cells (i0 + k*di, j0 + k*dj) for k in [0, len).
@@ -224,15 +229,36 @@ inline V* batch_scratch(std::size_t slot, std::size_t len) {
   return bufs[slot].ensure(len);
 }
 
+/// Generic span body for problems without a hook (or whose hook rejected
+/// the shape): one `compute` call per lane on the packed neighbour values.
+/// Lanes are interior, so each cell sees exactly the neighbours
+/// compute_cell would read.
+template <LddpProblem P>
+void compute_span(const P& p, typename P::Value bound,
+                  const FrontSpan<typename P::Value>& s) {
+  auto i = static_cast<std::int64_t>(s.i0);
+  auto j = static_cast<std::int64_t>(s.j0);
+  for (std::size_t k = 0; k < s.len; ++k, i += s.di, j += s.dj) {
+    Neighbors<typename P::Value> nb{bound, bound, bound, bound};
+    if (s.w != nullptr) nb.w = s.w[k];
+    if (s.nw != nullptr) nb.nw = s.nw[k];
+    if (s.n != nullptr) nb.n = s.n[k];
+    if (s.ne != nullptr) nb.ne = s.ne[k];
+    s.out[k] = p.compute(static_cast<std::size_t>(i),
+                         static_cast<std::size_t>(j), nb);
+  }
+}
+
 /// Executes cells [lo, hi) (positions within front f) over storage
-/// addressed by `addr(i, j) -> V*`. When `batch` is set, the problem has
-/// the hook, and the layout admits batching, interior runs go through
-/// compute_front with packed spans; everything else — edges, short runs,
-/// shapes the hook rejects — runs the scalar per-cell reference loop.
+/// addressed by `addr(i, j) -> V*`. When `batch` is set and the layout
+/// admits batching, interior runs of at least kMinBatchRun lanes are
+/// packed into spans and computed by the problem's compute_front hook, or
+/// by compute_span when it has none or rejects the span; edges and short
+/// runs — and every cell when `batch` is off — go through compute_cell.
 /// `addr` must be affine in (i, j) over each run and its neighbours
-/// (true for the row-major host table and for every wavefront-major
-/// device layout); strides are derived by probing and the run end is
-/// checked in debug builds.
+/// (true for the row-major host table, the front windows and every
+/// wavefront-major device layout); strides are derived by probing and the
+/// run end is checked in debug builds.
 template <LddpProblem P, typename Layout, typename AddrFn>
 void run_front_range(const P& p, ContributingSet deps,
                      typename P::Value bound, const Layout& layout,
@@ -248,103 +274,87 @@ void run_front_range(const P& p, ContributingSet deps,
           compute_cell(p, deps, bound, cell.i, cell.j, cols, read);
     }
   };
-  if constexpr (BatchFrontProblem<P>) {
-    if (batch && layout_batchable(layout, deps)) {
-      FrontRun runs[2];
-      const std::size_t nr = front_runs(layout, f, runs);
-      std::size_t done = lo;
-      for (std::size_t r = 0; r < nr && done < hi; ++r) {
-        const FrontRun& run = runs[r];
-        const std::size_t r_end = run.pos + run.len;
-        if (r_end <= done) continue;
-        std::size_t ia, ib;
-        interior_lanes(run, deps, cols, ia, ib);
-        // Clip the interior lanes to the requested [lo, hi) positions.
-        const std::size_t ka =
-            std::max(run.pos + ia, done) - run.pos;
-        const std::size_t kb =
-            (std::min(run.pos + ib, hi) > run.pos + ka)
-                ? std::min(run.pos + ib, hi) - run.pos
-                : ka;
-        if (kb - ka < kMinBatchRun) {
-          const std::size_t stop = std::min(r_end, hi);
-          scalar(done, stop);
-          done = stop;
-          continue;
-        }
-        FrontSpan<V> s;
-        s.i0 = static_cast<std::size_t>(
-            static_cast<std::int64_t>(run.i0) +
-            static_cast<std::int64_t>(ka) * run.di);
-        s.j0 = static_cast<std::size_t>(
-            static_cast<std::int64_t>(run.j0) +
-            static_cast<std::int64_t>(ka) * run.dj);
-        s.di = run.di;
-        s.dj = run.dj;
-        s.len = kb - ka;
-        V* const out0 = addr(s.i0, s.j0);
-        const std::ptrdiff_t sout =
-            addr(static_cast<std::size_t>(
-                     static_cast<std::int64_t>(s.i0) + s.di),
-                 static_cast<std::size_t>(
-                     static_cast<std::int64_t>(s.j0) + s.dj)) -
-            out0;
-        LDDP_DCHECK(addr(static_cast<std::size_t>(
-                             static_cast<std::int64_t>(s.i0) +
-                             static_cast<std::int64_t>(s.len - 1) * s.di),
-                         static_cast<std::size_t>(
-                             static_cast<std::int64_t>(s.j0) +
-                             static_cast<std::int64_t>(s.len - 1) * s.dj)) ==
-                    out0 + static_cast<std::ptrdiff_t>(s.len - 1) * sout);
-        // Pack each needed neighbour: direct pointer when unit-stride,
-        // strided gather into per-thread scratch otherwise.
-        auto pack = [&](std::ptrdiff_t oi, std::ptrdiff_t oj,
-                        std::size_t slot) -> const V* {
-          const V* const base =
-              addr(static_cast<std::size_t>(
-                       static_cast<std::int64_t>(s.i0) + oi),
-                   static_cast<std::size_t>(
-                       static_cast<std::int64_t>(s.j0) + oj));
-          if (s.len < 2) return base;
-          const std::ptrdiff_t stride =
-              addr(static_cast<std::size_t>(
-                       static_cast<std::int64_t>(s.i0) + s.di + oi),
-                   static_cast<std::size_t>(
-                       static_cast<std::int64_t>(s.j0) + s.dj + oj)) -
-              base;
-          if (stride == 1) return base;
-          V* const buf = batch_scratch<V>(slot, s.len);
-          for (std::size_t k = 0; k < s.len; ++k)
-            buf[k] = base[static_cast<std::ptrdiff_t>(k) * stride];
-          return buf;
-        };
-        if (deps.has_w()) s.w = pack(0, -1, 0);
-        if (deps.has_nw()) s.nw = pack(-1, -1, 1);
-        if (deps.has_n()) s.n = pack(-1, 0, 2);
-        if (deps.has_ne()) s.ne = pack(-1, 1, 3);
-        V* scatter_buf = nullptr;
-        if (sout == 1) {
-          s.out = out0;
-        } else {
-          scatter_buf = batch_scratch<V>(4, s.len);
-          s.out = scatter_buf;
-        }
-        if (p.compute_front(s)) {
-          if (scatter_buf != nullptr)
-            for (std::size_t k = 0; k < s.len; ++k)
-              out0[static_cast<std::ptrdiff_t>(k) * sout] = scatter_buf[k];
-          scalar(done, run.pos + ka);  // leading edge cells
-          done = run.pos + kb;
-        }
-        const std::size_t stop = std::min(r_end, hi);
-        scalar(done, stop);  // trailing edge (or the whole run on reject)
-        done = stop;
-      }
-      scalar(done, hi);
-      return;
-    }
+  if (!batch || !layout_batchable(layout, deps)) {
+    scalar(lo, hi);
+    return;
   }
-  scalar(lo, hi);
+  FrontRun runs[2];
+  const std::size_t nr = front_runs(layout, f, runs);
+  std::size_t done = lo;
+  for (std::size_t r = 0; r < nr && done < hi; ++r) {
+    const FrontRun& run = runs[r];
+    const std::size_t r_end = run.pos + run.len;
+    if (r_end <= done) continue;
+    std::size_t ia, ib;
+    interior_lanes(run, deps, cols, ia, ib);
+    // Clip the interior lanes to the requested [lo, hi) positions.
+    const std::size_t ka = std::max(run.pos + ia, done) - run.pos;
+    const std::size_t kb = (std::min(run.pos + ib, hi) > run.pos + ka)
+                               ? std::min(run.pos + ib, hi) - run.pos
+                               : ka;
+    if (kb - ka < kMinBatchRun) {
+      const std::size_t stop = std::min(r_end, hi);
+      scalar(done, stop);
+      done = stop;
+      continue;
+    }
+    FrontSpan<V> s;
+    s.i0 = static_cast<std::size_t>(static_cast<std::int64_t>(run.i0) +
+                                    static_cast<std::int64_t>(ka) * run.di);
+    s.j0 = static_cast<std::size_t>(static_cast<std::int64_t>(run.j0) +
+                                    static_cast<std::int64_t>(ka) * run.dj);
+    s.di = run.di;
+    s.dj = run.dj;
+    s.len = kb - ka;
+    // Address of lane k's cell shifted by (oi, oj).
+    auto lane_addr = [&](std::int64_t k, std::ptrdiff_t oi,
+                         std::ptrdiff_t oj) {
+      return addr(
+          static_cast<std::size_t>(static_cast<std::int64_t>(s.i0) +
+                                   k * s.di + oi),
+          static_cast<std::size_t>(static_cast<std::int64_t>(s.j0) +
+                                   k * s.dj + oj));
+    };
+    V* const out0 = lane_addr(0, 0, 0);
+    const std::ptrdiff_t sout = lane_addr(1, 0, 0) - out0;
+    LDDP_DCHECK(lane_addr(static_cast<std::int64_t>(s.len - 1), 0, 0) ==
+                out0 + static_cast<std::ptrdiff_t>(s.len - 1) * sout);
+    // Pack each needed neighbour: direct pointer when unit-stride,
+    // strided gather into per-thread scratch otherwise.
+    auto pack = [&](std::ptrdiff_t oi, std::ptrdiff_t oj,
+                    std::size_t slot) -> const V* {
+      const V* const base = lane_addr(0, oi, oj);
+      const std::ptrdiff_t stride = lane_addr(1, oi, oj) - base;
+      if (stride == 1) return base;
+      V* const buf = batch_scratch<V>(slot, s.len);
+      for (std::size_t k = 0; k < s.len; ++k)
+        buf[k] = base[static_cast<std::ptrdiff_t>(k) * stride];
+      return buf;
+    };
+    if (deps.has_w()) s.w = pack(0, -1, 0);
+    if (deps.has_nw()) s.nw = pack(-1, -1, 1);
+    if (deps.has_n()) s.n = pack(-1, 0, 2);
+    if (deps.has_ne()) s.ne = pack(-1, 1, 3);
+    V* scatter_buf = nullptr;
+    if (sout == 1) {
+      s.out = out0;
+    } else {
+      scatter_buf = batch_scratch<V>(4, s.len);
+      s.out = scatter_buf;
+    }
+    bool hooked = false;
+    if constexpr (BatchFrontProblem<P>) hooked = p.compute_front(s);
+    if (!hooked) compute_span(p, bound, s);
+    if (scatter_buf != nullptr)
+      for (std::size_t k = 0; k < s.len; ++k)
+        out0[static_cast<std::ptrdiff_t>(k) * sout] = scatter_buf[k];
+    scalar(done, run.pos + ka);  // leading edge cells
+    done = run.pos + kb;
+    const std::size_t stop = std::min(r_end, hi);
+    scalar(done, stop);  // trailing edge
+    done = stop;
+  }
+  scalar(done, hi);
 }
 
 // --- Row sweeps (serial scan, tile interiors, horizontal strips) --------
@@ -416,11 +426,13 @@ void run_row(const P& p, ContributingSet deps, typename P::Value bound,
   run_row_scalar(p, deps, bound, i, j0, j1, cols, prev_row, row);
 }
 
-/// True when this problem/layout pair takes the batch path under the given
-/// RunConfig::batch_kernels setting.
+/// True when this problem/layout pair is priced with the calibrated vector
+/// speedup (cpu_work_for): it has a real SIMD compute_front hook and the
+/// layout admits span batching. Execution does not depend on it —
+/// run_front_range packs spans for every problem.
 template <LddpProblem P, typename Layout>
-bool use_batch_front(const P&, const Layout& layout, ContributingSet deps,
-                     bool batch) {
+bool priced_as_vector(const P&, const Layout& layout, ContributingSet deps,
+                      bool batch) {
   if constexpr (BatchFrontProblem<P>) {
     return batch && layout_batchable(layout, deps);
   } else {

@@ -5,8 +5,12 @@
 // describes one contiguous affine run of a front's *interior* cells
 // together with densely packed neighbour values, so a problem can compute
 // the whole run in one branchless pass instead of one `compute` call per
-// cell. The scalar path remains the fallback for every problem and the
-// differential oracle: batch results must be bit-identical.
+// cell. Two fallbacks remain: the front runner's generic span loop
+// (one `compute` call per lane on the same packed values) serves problems
+// without the hook and spans a hook rejects, and the per-cell
+// `compute_cell` path serves edges, short runs and
+// `RunConfig::batch_kernels = false` — the differential oracle. Batch
+// results must be bit-identical to it.
 #pragma once
 
 #include <concepts>
@@ -51,7 +55,7 @@ struct FrontSpan {
 /// Detects the optional batch hook `bool compute_front(FrontSpan)`. The
 /// hook returns false when it does not implement the span's shape (e.g. a
 /// knight-move dj == +2 a kernel only tuned for anti-diagonals); the
-/// caller then falls back to the scalar path for that run.
+/// front runner then computes that run with its generic span loop.
 template <typename P>
 concept BatchFrontProblem =
     requires(const P& p, const FrontSpan<typename P::Value>& s) {

@@ -74,14 +74,18 @@ void unpack_table(const V* src, const RowMajorLayout& layout, Grid<V>& table,
               table.data() + i * m + j_begin);
 }
 
-/// Work profile for the CPU pricing of this solve: when the run takes the
-/// batch-front path, the calibrated vector-throughput term is applied so
-/// model-driven decisions (parallel-vs-serial gating, t_switch/t_share
-/// defaults, tuner sweeps) see the real CPU speed.
+/// Work profile for the CPU pricing of this solve. `vector_priced` means
+/// the problem has a real SIMD compute_front hook that the run uses; only
+/// then is the calibrated vector-throughput term applied, so model-driven
+/// decisions (parallel-vs-serial gating, t_switch/t_share defaults, tuner
+/// sweeps, morsel grain) see the real CPU speed. Hook-less problems also
+/// run through packed spans (front_runner.h), but their generic span loop
+/// still makes one scalar `compute` call per cell, so they keep scalar
+/// pricing and their simulated schedule does not depend on the host.
 template <LddpProblem P>
-cpu::WorkProfile cpu_work_for(const P& p, bool use_batch) {
+cpu::WorkProfile cpu_work_for(const P& p, bool vector_priced) {
   cpu::WorkProfile w = work_profile_of(p);
-  if (use_batch) w.vector_speedup = cpu::calibrated_vector_speedup();
+  if (vector_priced) w.vector_speedup = cpu::calibrated_vector_speedup();
   return w;
 }
 

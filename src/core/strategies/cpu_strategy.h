@@ -69,15 +69,14 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
+  const cpu::WorkProfile work = detail::cpu_work_for(
+      p, detail::priced_as_vector(p, layout, deps, batch));
   AlignedBuf<V> ring;
   detail::GridDrain<V, Layout> out(
       layout, deps,
       ring.ensure(detail::GridDrain<V, Layout>::ring_size(layout, deps)),
       platform.pool());
   auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
-  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
   // The simulated pricing below is the paper's fork/join-per-front OpenMP
   // baseline, whatever executor runs the fronts for real.
   sim::Platform::CpuFrontOpts opts;
@@ -87,24 +86,13 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
     // run on the issuing thread.
     opts.parallel = cpu::parallel_beats_serial(
         platform.spec().cpu, work, layout.front_size(f), mem_amplification);
-    if (use_batch) {
-      platform.cpu_front(
-          layout.front_size(f), work,
-          [&](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(p, deps, bound, layout, f, lo, hi, addr,
-                                    /*batch=*/true);
-          },
-          opts);
-    } else {
-      platform.cpu_front(
-          layout.front_size(f), work,
-          [&](std::size_t c) {
-            const CellIndex cell = layout.cell(f, c);
-            *out.addr(cell.i, cell.j) =
-                detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
-          },
-          opts);
-    }
+    platform.cpu_front(
+        layout.front_size(f), work,
+        [&](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, f, lo, hi, addr,
+                                  batch);
+        },
+        opts);
     out.retire(f);
   }
   if (stats) {

@@ -214,39 +214,26 @@ FrontierTable<typename P::Value> solve_frontier_parallel(
   const V bound = p.boundary();
   const std::size_t w = frontier_window_fronts(layout, deps);
   LDDP_CHECK_MSG(w > 0, "layout/deps pair has no bounded frontier window");
-  const bool use_batch = use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = cpu_work_for(p, use_batch);
+  const cpu::WorkProfile work =
+      cpu_work_for(p, priced_as_vector(p, layout, deps, batch));
   FrontierTable<V> table = FrontierTable<V>::checkpointed(n, m, K);
 
   AlignedBuf<V> win;
   const std::size_t stride = FrontWindow<V, Layout>::slot_stride(layout);
   const FrontWindow<V, Layout> fw(layout, win.ensure(w * stride), w, stride);
   auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
-  auto read = [&fw](std::size_t i, std::size_t j) { return *fw.addr(i, j); };
 
   sim::Platform::CpuFrontOpts opts;
   opts.mem_amplification = mem_amplification;
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
     opts.parallel = cpu::parallel_beats_serial(
         platform.spec().cpu, work, layout.front_size(f), mem_amplification);
-    if (use_batch) {
-      platform.cpu_front(
-          layout.front_size(f), work,
-          [&](std::size_t lo, std::size_t hi) {
-            run_front_range(p, deps, bound, layout, f, lo, hi, addr,
-                            /*batch=*/true);
-          },
-          opts);
-    } else {
-      platform.cpu_front(
-          layout.front_size(f), work,
-          [&](std::size_t c) {
-            const CellIndex cell = layout.cell(f, c);
-            *fw.addr(cell.i, cell.j) =
-                compute_cell(p, deps, bound, cell.i, cell.j, m, read);
-          },
-          opts);
-    }
+    platform.cpu_front(
+        layout.front_size(f), work,
+        [&](std::size_t lo, std::size_t hi) {
+          run_front_range(p, deps, bound, layout, f, lo, hi, addr, batch);
+        },
+        opts);
     harvest_front(table, layout, f, n, K, addr);
   }
   if (stats) {
@@ -288,26 +275,15 @@ FrontierTable<typename P::Value> solve_frontier_gpu(
       gpu.template alloc<V>(w * stride, /*zeroed=*/false);
   const FrontWindow<V, Layout> fw(layout, dwin.device_ptr(), w, stride);
   auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
-  auto read = [&fw](std::size_t i, std::size_t j) { return *fw.addr(i, j); };
 
-  const bool use_batch = use_batch_front(p, layout, deps, batch);
   sim::LaunchGraph graph(gpu, fused);
   graph.record_h2d(stream, input_bytes_of(p), sim::MemoryKind::kPageable);
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
-    if (use_batch) {
-      graph.launch(stream, info, layout.front_size(f),
-                   [&, f](std::size_t lo, std::size_t hi) {
-                     run_front_range(p, deps, bound, layout, f, lo, hi,
-                                     addr, /*batch=*/true);
-                   });
-    } else {
-      graph.launch(stream, info, layout.front_size(f),
-                   [&, f](std::size_t c) {
-                     const CellIndex cell = layout.cell(f, c);
-                     *fw.addr(cell.i, cell.j) = compute_cell(
-                         p, deps, bound, cell.i, cell.j, m, read);
-                   });
-    }
+    graph.launch(stream, info, layout.front_size(f),
+                 [&, f](std::size_t lo, std::size_t hi) {
+                   run_front_range(p, deps, bound, layout, f, lo, hi, addr,
+                                   batch);
+                 });
     // Kernels execute eagerly at record time (sim semantics), so the
     // freshly computed front can be harvested here; the retained rows'
     // trip to the host is priced as a pinned halo copy.
@@ -386,8 +362,8 @@ FrontierTable<typename P::Value> solve_frontier_hetero(
   const std::size_t w = frontier_window_fronts(layout, deps);
   LDDP_CHECK_MSG(w > 0, "layout/deps pair has no bounded frontier window");
   const std::size_t num_fronts = layout.num_fronts();
-  const bool use_batch = use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = cpu_work_for(p, use_batch);
+  const cpu::WorkProfile work =
+      cpu_work_for(p, priced_as_vector(p, layout, deps, batch));
 
   sim::Device& gpu = platform.gpu();
   const sim::KernelInfo info = kernel_info_for(p, "hetero.frontier");
@@ -412,7 +388,6 @@ FrontierTable<typename P::Value> solve_frontier_hetero(
       gpu.template alloc<V>(w * stride, /*zeroed=*/false);
   const FrontWindow<V, Layout> fw(layout, dwin.device_ptr(), w, stride);
   auto addr = [&fw](std::size_t i, std::size_t j) { return fw.addr(i, j); };
-  auto read = [&fw](std::size_t i, std::size_t j) { return *fw.addr(i, j); };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -448,21 +423,11 @@ FrontierTable<typename P::Value> solve_frontier_hetero(
     opts.parallel = cpu::parallel_beats_serial(
         platform.spec().cpu, work, hi - lo, mem_amplification, true);
     opts.dep1 = dep;
-    if (use_batch) {
-      return platform.cpu_front(
-          hi - lo, work,
-          [&, f, lo](std::size_t a, std::size_t b) {
-            run_front_range(p, deps, bound, layout, f, lo + a, lo + b, addr,
-                            /*batch=*/true);
-          },
-          opts);
-    }
     return platform.cpu_front(
         hi - lo, work,
-        [&, f, lo](std::size_t c) {
-          const CellIndex cell = layout.cell(f, lo + c);
-          *fw.addr(cell.i, cell.j) =
-              compute_cell(p, deps, bound, cell.i, cell.j, m, read);
+        [&, f, lo](std::size_t a, std::size_t b) {
+          run_front_range(p, deps, bound, layout, f, lo + a, lo + b, addr,
+                          batch);
         },
         opts);
   };
@@ -510,24 +475,13 @@ FrontierTable<typename P::Value> solve_frontier_hetero(
       }
       const std::size_t glo = lo == 0 ? hi : 0;
       const std::size_t ghi = lo == 0 ? fs : lo;
-      if (use_batch) {
-        last_gpu = graph.launch(
-            compute_stream, info, ghi - glo,
-            [&, f, glo](std::size_t a, std::size_t b) {
-              run_front_range(p, deps, bound, layout, f, glo + a, glo + b,
-                              addr, /*batch=*/true);
-            },
-            extra);
-      } else {
-        last_gpu = graph.launch(
-            compute_stream, info, ghi - glo,
-            [&, f, glo](std::size_t c) {
-              const CellIndex cell = layout.cell(f, glo + c);
-              *fw.addr(cell.i, cell.j) =
-                  compute_cell(p, deps, bound, cell.i, cell.j, m, read);
-            },
-            extra);
-      }
+      last_gpu = graph.launch(
+          compute_stream, info, ghi - glo,
+          [&, f, glo](std::size_t a, std::size_t b) {
+            run_front_range(p, deps, bound, layout, f, glo + a, glo + b,
+                            addr, batch);
+          },
+          extra);
       if (gpu_to_cpu)
         // NE pulls the GPU's boundary column back across the strip for
         // the next front's CPU segment.

@@ -38,7 +38,6 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
   detail::GridDrain<V, Layout> out(layout, deps, ring.device_ptr(),
                                    platform.pool());
   auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
-  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
   const sim::KernelInfo info = detail::kernel_info_for(p, "gpu.front");
 
   // The whole compute phase — input upload plus every per-front kernel —
@@ -49,24 +48,14 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
   // Inputs (sequences / cost grid / image) go up once, pageable.
   graph.record_h2d(stream, input_bytes_of(p), sim::MemoryKind::kPageable);
 
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   for (std::size_t f = 0; f < layout.num_fronts(); ++f) {
-    if (use_batch) {
-      // Ranged body: the batch runner packs each chunk's interior into
-      // dense spans for compute_front. Same cells, same kernel pricing.
-      graph.launch(stream, info, layout.front_size(f),
-                   [&, f](std::size_t lo, std::size_t hi) {
-                     detail::run_front_range(p, deps, bound, layout, f, lo,
-                                             hi, addr, /*batch=*/true);
-                   });
-    } else {
-      graph.launch(stream, info, layout.front_size(f),
-                   [&, f](std::size_t c) {
-                     const CellIndex cell = layout.cell(f, c);
-                     *out.addr(cell.i, cell.j) = detail::compute_cell(
-                         p, deps, bound, cell.i, cell.j, m, read);
-                   });
-    }
+    // Ranged body: the front runner packs each chunk's interior into dense
+    // spans. Same cells, same kernel pricing.
+    graph.launch(stream, info, layout.front_size(f),
+                 [&, f](std::size_t lo, std::size_t hi) {
+                   detail::run_front_range(p, deps, bound, layout, f, lo, hi,
+                                           addr, batch);
+                 });
     // Kernels execute eagerly at record time, so the front is final here.
     out.retire(f);
   }

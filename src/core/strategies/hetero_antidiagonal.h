@@ -34,8 +34,8 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
   const AntiDiagonalLayout layout(n, m);
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
+  const cpu::WorkProfile work = detail::cpu_work_for(
+      p, detail::priced_as_vector(p, layout, deps, batch));
   const std::size_t num_fronts = layout.num_fronts();
 
   sim::Device& gpu = platform.gpu();
@@ -59,7 +59,6 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
                                                ring.device_ptr(),
                                                platform.pool());
   auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
-  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -90,21 +89,11 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
     opts.parallel = cpu::parallel_beats_serial(
         platform.spec().cpu, work, count, opts.mem_amplification, true);
     opts.dep1 = dep;
-    if (use_batch) {
-      return platform.cpu_front(
-          count, work,
-          [&, d](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(p, deps, bound, layout, d, lo, hi, addr,
-                                    /*batch=*/true);
-          },
-          opts);
-    }
     return platform.cpu_front(
         count, work,
-        [&, d](std::size_t c) {
-          const CellIndex cell = layout.cell(d, c);
-          *out.addr(cell.i, cell.j) =
-              detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
+        [&, d](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, d, lo, hi, addr,
+                                  batch);
         },
         opts);
   };
@@ -160,24 +149,13 @@ Grid<typename P::Value> solve_hetero_antidiagonal(const P& p,
       // The kernel additionally waits for the boundary cells of the last
       // two fronts (the W/N/NW reads that cross the strip).
       graph.stream_wait(compute_stream, h2d_m2);
-      if (use_batch) {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, d, c](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(p, deps, bound, layout, d, c + lo,
-                                      c + hi, addr, /*batch=*/true);
-            },
-            h2d_m1);
-      } else {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, d, c](std::size_t k) {
-              const CellIndex cell = layout.cell(d, c + k);
-              *out.addr(cell.i, cell.j) = detail::compute_cell(
-                  p, deps, bound, cell.i, cell.j, m, read);
-            },
-            h2d_m1);
-      }
+      last_gpu = graph.launch(
+          compute_stream, info, fs - c,
+          [&, d, c](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, d, c + lo,
+                                    c + hi, addr, batch);
+          },
+          h2d_m1);
     }
     out.retire(d);
     h2d_m2 = h2d_m1;

@@ -36,8 +36,8 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
   const RowMajorLayout layout(n, m);
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
+  const cpu::WorkProfile work = detail::cpu_work_for(
+      p, detail::priced_as_vector(p, layout, deps, batch));
 
   sim::Device& gpu = platform.gpu();
   sim::KernelInfo info = detail::kernel_info_for(p, "hetero.h");
@@ -67,7 +67,6 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
   detail::GridDrain<V, RowMajorLayout> out(layout, deps, /*ring=*/nullptr,
                                            platform.pool());
   auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
-  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -108,23 +107,13 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
       opts.streamed = true;
       opts.extra_seconds = cpu_extra_seconds;
       opts.dep1 = dep;
-      if (use_batch) {
-        cpu_op = platform.cpu_front(
-            std::min(s, m), work,
-            [&, i](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(p, deps, bound, layout, i, lo, hi,
-                                      addr, /*batch=*/true);
-            },
-            opts);
-      } else {
-        cpu_op = platform.cpu_front(
-            std::min(s, m), work,
-            [&, i](std::size_t j) {
-              *out.addr(i, j) =
-                  detail::compute_cell(p, deps, bound, i, j, m, read);
-            },
-            opts);
-      }
+      cpu_op = platform.cpu_front(
+          std::min(s, m), work,
+          [&, i](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, i, lo, hi, addr,
+                                    batch);
+          },
+          opts);
       last_cpu = cpu_op;
     }
 
@@ -139,23 +128,13 @@ Grid<typename P::Value> solve_hetero_horizontal(const P& p,
     sim::OpId gpu_op = sim::kNoOp;
     if (s < m) {
       const sim::OpId dep = two_way ? cpu_m1 : (cpu_to_gpu ? h2d_m1 : sim::kNoOp);
-      if (use_batch) {
-        gpu_op = graph.launch(
-            compute_stream, info, m - s,
-            [&, i](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(p, deps, bound, layout, i, s + lo,
-                                      s + hi, addr, /*batch=*/true);
-            },
-            dep);
-      } else {
-        gpu_op = graph.launch(
-            compute_stream, info, m - s,
-            [&, i](std::size_t k) {
-              *out.addr(i, s + k) =
-                  detail::compute_cell(p, deps, bound, i, s + k, m, read);
-            },
-            dep);
-      }
+      gpu_op = graph.launch(
+          compute_stream, info, m - s,
+          [&, i](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, i, s + lo,
+                                    s + hi, addr, batch);
+          },
+          dep);
       last_gpu = gpu_op;
     }
 

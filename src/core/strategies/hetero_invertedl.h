@@ -69,12 +69,11 @@ Grid<typename P::Value> solve_cpu_invertedl(const P& p,
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
   const ShellLayout layout(n, m);
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
+  const cpu::WorkProfile work = detail::cpu_work_for(
+      p, detail::priced_as_vector(p, layout, deps, batch));
   const double col_amp = detail::invl_cpu_column_amplification<V>();
 
   Grid<V> table(n, m);
-  detail::GridReader<V> read{&table};
   auto haddr = [&table](std::size_t i, std::size_t j) {
     return &table.at(i, j);
   };
@@ -86,24 +85,13 @@ Grid<typename P::Value> solve_cpu_invertedl(const P& p,
         detail::mixed_amplification(col_n, fs - col_n, col_amp);
     opts.parallel = cpu::parallel_beats_serial(platform.spec().cpu, work, fs,
                                                opts.mem_amplification);
-    if (use_batch) {
-      platform.cpu_front(
-          fs, work,
-          [&, k](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(p, deps, bound, layout, k, lo, hi, haddr,
-                                    /*batch=*/true);
-          },
-          opts);
-    } else {
-      platform.cpu_front(
-          fs, work,
-          [&, k](std::size_t c) {
-            const CellIndex cell = layout.cell(k, c);
-            table.at(cell.i, cell.j) =
-                detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
-          },
-          opts);
-    }
+    platform.cpu_front(
+        fs, work,
+        [&, k](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, k, lo, hi, haddr,
+                                  batch);
+        },
+        opts);
   }
   if (stats) {
     stats->mode_used = Mode::kCpuParallel;
@@ -131,14 +119,15 @@ Grid<typename P::Value> solve_gpu_invertedl(const P& p,
   const V bound = p.boundary();
   const ShellLayout layout(n, m);
   const RowMajorLayout storage(n, m);
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
   sim::Device& gpu = platform.gpu();
   const double col_amp =
       detail::invl_gpu_column_amplification<V>(gpu.spec(), m);
 
   sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(storage.size());
-  detail::DeviceReader<V, RowMajorLayout> dread{dtable.device_ptr(),
-                                                &storage};
+  V* const dout = dtable.device_ptr();
+  auto daddr = [dout, &storage](std::size_t i, std::size_t j) {
+    return dout + storage.flat(i, j);
+  };
   const auto stream = gpu.default_stream();
   // Upload + all shell kernels form one host-independent chain: fuse them.
   sim::LaunchGraph graph(gpu, fused);
@@ -150,24 +139,10 @@ Grid<typename P::Value> solve_gpu_invertedl(const P& p,
     sim::KernelInfo info = detail::kernel_info_for(p, "gpu.invl");
     info.mem_amplification =
         detail::mixed_amplification(col_n, fs - col_n, col_amp);
-    V* out = dtable.device_ptr();
-    if (use_batch) {
-      graph.launch(stream, info, fs,
-                   [&, k, out](std::size_t lo, std::size_t hi) {
-                     detail::run_front_range(
-                         p, deps, bound, layout, k, lo, hi,
-                         [out, &storage](std::size_t i, std::size_t j) {
-                           return out + storage.flat(i, j);
-                         },
-                         /*batch=*/true);
-                   });
-    } else {
-      graph.launch(stream, info, fs, [&, k, out](std::size_t c) {
-        const CellIndex cell = layout.cell(k, c);
-        out[storage.flat(cell.i, cell.j)] =
-            detail::compute_cell(p, deps, bound, cell.i, cell.j, m, dread);
-      });
-    }
+    graph.launch(stream, info, fs, [&, k](std::size_t lo, std::size_t hi) {
+      detail::run_front_range(p, deps, bound, layout, k, lo, hi, daddr,
+                              batch);
+    });
   }
   graph.replay();
 
@@ -202,8 +177,8 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
   const ShellLayout layout(n, m);
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
+  const cpu::WorkProfile work = detail::cpu_work_for(
+      p, detail::priced_as_vector(p, layout, deps, batch));
   const RowMajorLayout storage(n, m);
   const std::size_t num_shells = layout.num_fronts();
 
@@ -224,9 +199,13 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
 
   Grid<V> table(n, m);
   sim::DeviceBuffer<V> dtable = gpu.template alloc<V>(storage.size());
-  detail::GridReader<V> hread{&table};
-  detail::DeviceReader<V, RowMajorLayout> dread{dtable.device_ptr(),
-                                                &storage};
+  auto haddr = [&table](std::size_t i, std::size_t j) {
+    return &table.at(i, j);
+  };
+  V* const dout = dtable.device_ptr();
+  auto daddr = [dout, &storage](std::size_t i, std::size_t j) {
+    return dout + storage.flat(i, j);
+  };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -266,28 +245,13 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
           detail::mixed_amplification(col_n, cpu_rows, cpu_col_amp);
       opts.parallel = cpu::parallel_beats_serial(
           platform.spec().cpu, work, c, opts.mem_amplification, true);
-      if (use_batch) {
-        cpu_op = platform.cpu_front(
-            c, work,
-            [&, k](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, k, lo, hi,
-                  [&table](std::size_t i, std::size_t j) {
-                    return &table.at(i, j);
-                  },
-                  /*batch=*/true);
-            },
-            opts);
-      } else {
-        cpu_op = platform.cpu_front(
-            c, work,
-            [&, k](std::size_t q) {
-              const CellIndex cell = layout.cell(k, q);
-              table.at(cell.i, cell.j) = detail::compute_cell(
-                  p, deps, bound, cell.i, cell.j, m, hread);
-            },
-            opts);
-      }
+      cpu_op = platform.cpu_front(
+          c, work,
+          [&, k](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, k, lo, hi, haddr,
+                                    batch);
+          },
+          opts);
       last_cpu = cpu_op;
     }
 
@@ -295,13 +259,13 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
     // reads NW = (k, s-1), a CPU row-part cell of this shell.
     sim::OpId h2d_op = sim::kNoOp;
     if (c > 0 && s > 0 && s <= m && k <= s - 1 && s - 1 < m) {
-      dtable.device_ptr()[storage.flat(k, s - 1)] = table.at(k, s - 1);
+      *daddr(k, s - 1) = table.at(k, s - 1);
       std::size_t bytes = sizeof(V);
       if (k + 1 == s) {
         // Shell-s column part reads the whole CPU strip column (i, s-1):
         // ship it in bulk together with this shell's boundary cell.
         for (std::size_t i = s; i + 1 < n; ++i) {
-          dtable.device_ptr()[storage.flat(i, s - 1)] = table.at(i, s - 1);
+          *daddr(i, s - 1) = table.at(i, s - 1);
           bytes += sizeof(V);
         }
       }
@@ -314,29 +278,13 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
       sim::KernelInfo info = base_info;
       info.mem_amplification = detail::mixed_amplification(
           gpu_col, fs - c - gpu_col, gpu_col_amp);
-      V* out = dtable.device_ptr();
-      if (use_batch) {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, k, c, out](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(
-                  p, deps, bound, layout, k, c + lo, c + hi,
-                  [out, &storage](std::size_t i, std::size_t j) {
-                    return out + storage.flat(i, j);
-                  },
-                  /*batch=*/true);
-            },
-            h2d_m1);
-      } else {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, k, c, out](std::size_t q) {
-              const CellIndex cell = layout.cell(k, c + q);
-              out[storage.flat(cell.i, cell.j)] = detail::compute_cell(
-                  p, deps, bound, cell.i, cell.j, m, dread);
-            },
-            h2d_m1);
-      }
+      last_gpu = graph.launch(
+          compute_stream, info, fs - c,
+          [&, k, c](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, k, c + lo,
+                                    c + hi, daddr, batch);
+          },
+          h2d_m1);
     }
     h2d_m1 = h2d_op;
   }
@@ -355,8 +303,7 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
     for (std::size_t q = std::min(cpu_len(k), layout.front_size(k));
          q < layout.front_size(k); ++q) {
       const CellIndex cell = layout.cell(k, q);
-      table.at(cell.i, cell.j) =
-          dtable.device_ptr()[storage.flat(cell.i, cell.j)];
+      table.at(cell.i, cell.j) = *daddr(cell.i, cell.j);
       bytes += sizeof(V);
     }
     entry_d2h = gpu.record_d2h(d2h_stream, bytes, sim::MemoryKind::kPageable,
@@ -373,28 +320,13 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
     opts.parallel = cpu::parallel_beats_serial(
         platform.spec().cpu, work, fs, opts.mem_amplification, true);
     opts.dep1 = entry_d2h;
-    if (use_batch) {
-      last_cpu = platform.cpu_front(
-          fs, work,
-          [&, k](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(
-                p, deps, bound, layout, k, lo, hi,
-                [&table](std::size_t i, std::size_t j) {
-                  return &table.at(i, j);
-                },
-                /*batch=*/true);
-          },
-          opts);
-    } else {
-      last_cpu = platform.cpu_front(
-          fs, work,
-          [&, k](std::size_t q) {
-            const CellIndex cell = layout.cell(k, q);
-            table.at(cell.i, cell.j) =
-                detail::compute_cell(p, deps, bound, cell.i, cell.j, m, hread);
-          },
-          opts);
-    }
+    last_cpu = platform.cpu_front(
+        fs, work,
+        [&, k](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, k, lo, hi, haddr,
+                                  batch);
+        },
+        opts);
     entry_d2h = sim::kNoOp;
   }
 
@@ -405,8 +337,7 @@ Grid<typename P::Value> solve_hetero_invertedl(const P& p,
       for (std::size_t q = std::min(cpu_len(k), layout.front_size(k));
            q < layout.front_size(k); ++q) {
         const CellIndex cell = layout.cell(k, q);
-        table.at(cell.i, cell.j) =
-            dtable.device_ptr()[storage.flat(cell.i, cell.j)];
+        table.at(cell.i, cell.j) = *daddr(cell.i, cell.j);
         bytes += sizeof(V);
       }
     }

@@ -34,8 +34,8 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   const ContributingSet deps = p.deps();
   const V bound = p.boundary();
   const KnightMoveLayout layout(n, m);
-  const bool use_batch = detail::use_batch_front(p, layout, deps, batch);
-  const cpu::WorkProfile work = detail::cpu_work_for(p, use_batch);
+  const cpu::WorkProfile work = detail::cpu_work_for(
+      p, detail::priced_as_vector(p, layout, deps, batch));
   const std::size_t num_fronts = layout.num_fronts();
 
   sim::Device& gpu = platform.gpu();
@@ -68,7 +68,6 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
   detail::GridDrain<V, KnightMoveLayout> out(layout, deps, ring.device_ptr(),
                                              platform.pool());
   auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
-  auto read = [&out](std::size_t i, std::size_t j) { return *out.addr(i, j); };
 
   const auto compute_stream = gpu.default_stream();
   const auto h2d_stream = gpu.create_stream();
@@ -111,21 +110,11 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
         platform.spec().cpu, work, count, opts.mem_amplification, true);
     opts.extra_seconds = extra;
     opts.dep1 = dep;
-    if (use_batch) {
-      return platform.cpu_front(
-          count, work,
-          [&, t](std::size_t lo, std::size_t hi) {
-            detail::run_front_range(p, deps, bound, layout, t, lo, hi, addr,
-                                    /*batch=*/true);
-          },
-          opts);
-    }
     return platform.cpu_front(
         count, work,
-        [&, t](std::size_t c) {
-          const CellIndex cell = layout.cell(t, c);
-          *out.addr(cell.i, cell.j) =
-              detail::compute_cell(p, deps, bound, cell.i, cell.j, m, read);
+        [&, t](std::size_t lo, std::size_t hi) {
+          detail::run_front_range(p, deps, bound, layout, t, lo, hi, addr,
+                                  batch);
         },
         opts);
   };
@@ -172,24 +161,13 @@ Grid<typename P::Value> solve_hetero_knightmove(const P& p,
 
     if (c < fs) {
       graph.stream_wait(compute_stream, entry_h2d);
-      if (use_batch) {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, t, c](std::size_t lo, std::size_t hi) {
-              detail::run_front_range(p, deps, bound, layout, t, c + lo,
-                                      c + hi, addr, /*batch=*/true);
-            },
-            cpu_prev);
-      } else {
-        last_gpu = graph.launch(
-            compute_stream, info, fs - c,
-            [&, t, c](std::size_t k) {
-              const CellIndex cell = layout.cell(t, c + k);
-              *out.addr(cell.i, cell.j) = detail::compute_cell(
-                  p, deps, bound, cell.i, cell.j, m, read);
-            },
-            cpu_prev);
-      }
+      last_gpu = graph.launch(
+          compute_stream, info, fs - c,
+          [&, t, c](std::size_t lo, std::size_t hi) {
+            detail::run_front_range(p, deps, bound, layout, t, c + lo,
+                                    c + hi, addr, batch);
+          },
+          cpu_prev);
       entry_h2d = sim::kNoOp;  // only the first kernel waits on the bulk
     }
 

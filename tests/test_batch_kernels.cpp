@@ -3,9 +3,12 @@
 // tables to the scalar per-cell path across every contributing set,
 // execution mode, tiling setting and table shape — and the front runner
 // must hand every interior cell to the hook exactly once with a valid
-// span, covering the rest through the scalar fallback.
+// span, covering the rest through the scalar fallback. Problems without
+// the hook (and spans a hook rejects) take the runner's generic span loop,
+// which must be just as bit-identical.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,8 +16,13 @@
 #include "core/framework.h"
 #include "core/front_runner.h"
 #include "cpu/thread_pool.h"
+#include "problems/alignment.h"
 #include "problems/checkerboard.h"
+#include "problems/column_min.h"
+#include "problems/dtw.h"
+#include "problems/floyd_steinberg.h"
 #include "problems/gotoh.h"
+#include "problems/image.h"
 #include "problems/lcs.h"
 #include "problems/levenshtein.h"
 #include "problems/max_square.h"
@@ -87,16 +95,31 @@ static_assert(has_batch_front_v<SyntheticBatchProblem>);
     return false;                  \
   }
 
-// Wraps SyntheticBatchProblem with per-cell bookkeeping: which cells the
-// hook computed, which the scalar fallback computed, and whether every
-// span handed to the hook was interior and in-range.
+// What the recording wrapper's hook does with a span.
+enum class Hook {
+  kAccept,  ///< computes the span (SyntheticBatchProblem's lane loop)
+  kNone,    ///< no compute_front at all: the runner's generic span loop
+  kReject,  ///< validates the span, then declines it
+};
+
+// Per-cell bookkeeping of one property run: which cells the hook computed
+// and which went through compute (generic span loop or compute_cell).
+struct CellCounts {
+  CellCounts(std::size_t rows, std::size_t cols)
+      : hook(rows, cols, 0), scalar(rows, cols, 0) {}
+  Grid<std::int32_t> hook, scalar;
+  std::size_t rejected_spans = 0;
+};
+
+// Wraps SyntheticBatchProblem with per-cell bookkeeping and checks that
+// every span offered to the hook is interior and in range.
+template <Hook H>
 class RecordingProblem {
  public:
   using Value = std::int32_t;
 
-  RecordingProblem(const SyntheticBatchProblem& base, Grid<std::int32_t>* hook,
-                   Grid<std::int32_t>* scalar)
-      : base_(base), hook_(hook), scalar_(scalar) {}
+  RecordingProblem(const SyntheticBatchProblem& base, CellCounts* counts)
+      : base_(base), counts_(counts) {}
 
   std::size_t rows() const { return base_.rows(); }
   std::size_t cols() const { return base_.cols(); }
@@ -105,11 +128,13 @@ class RecordingProblem {
 
   Value compute(std::size_t i, std::size_t j,
                 const Neighbors<Value>& nb) const {
-    ++scalar_->at(i, j);
+    ++counts_->scalar.at(i, j);
     return base_.compute(i, j, nb);
   }
 
-  bool compute_front(const FrontSpan<Value>& s) const {
+  bool compute_front(const FrontSpan<Value>& s) const
+    requires(H != Hook::kNone)
+  {
     EXPECT_GE(s.len, detail::kMinBatchRun);
     const ContributingSet d = base_.deps();
     for (std::size_t k = 0; k < s.len; ++k) {
@@ -123,21 +148,53 @@ class RecordingProblem {
       ASSERT_LT_OR_RETURN(j, cols());
       EXPECT_GE(i, 1u) << "span reaches the top boundary row";
       EXPECT_GE(j, 1u) << "span reaches the left boundary column";
-      if (d.has_ne())
+      if (d.has_ne()) {
         EXPECT_LT(j + 1, cols()) << "NE span reaches the right edge";
-      ++hook_->at(i, j);
+      }
+      if (H == Hook::kAccept) ++counts_->hook.at(i, j);
+    }
+    if (H == Hook::kReject) {
+      ++counts_->rejected_spans;
+      return false;
     }
     return base_.compute_front(s);
   }
 
  private:
   const SyntheticBatchProblem& base_;
-  Grid<std::int32_t>* hook_;
-  Grid<std::int32_t>* scalar_;
+  CellCounts* counts_;
 };
+static_assert(has_batch_front_v<RecordingProblem<Hook::kAccept>>);
+static_assert(!has_batch_front_v<RecordingProblem<Hook::kNone>>);
+static_assert(has_batch_front_v<RecordingProblem<Hook::kReject>>);
 
 // ---------------------------------------------------------------------
 // Differential: batch on == batch off, bit for bit.
+
+template <typename V>
+bool same_value(const V& a, const V& b) {
+  return a == b;
+}
+// FsCell has no operator==; compare the error bits and the output pixel.
+bool same_value(const problems::FsCell& a, const problems::FsCell& b) {
+  return std::bit_cast<std::uint64_t>(a.err) ==
+             std::bit_cast<std::uint64_t>(b.err) &&
+         a.out == b.out;
+}
+
+template <typename TableA, typename TableB>
+void expect_tables_identical(const TableA& on, const TableB& off,
+                             const std::string& what) {
+  ASSERT_EQ(on.rows(), off.rows()) << what;
+  ASSERT_EQ(on.cols(), off.cols()) << what;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < on.rows() && bad < 5; ++i)
+    for (std::size_t j = 0; j < on.cols() && bad < 5; ++j)
+      if (!same_value(on.at(i, j), off.at(i, j))) {
+        ADD_FAILURE() << what << ": mismatch at (" << i << ", " << j << ")";
+        ++bad;
+      }
+}
 
 template <typename P>
 void expect_batch_identical(const P& p, RunConfig cfg,
@@ -146,17 +203,31 @@ void expect_batch_identical(const P& p, RunConfig cfg,
   const auto off = solve(p, cfg);
   cfg.batch_kernels = true;
   const auto on = solve(p, cfg);
-  ASSERT_EQ(on.table.rows(), off.table.rows());
-  ASSERT_EQ(on.table.cols(), off.table.cols());
-  std::size_t bad = 0;
-  for (std::size_t i = 0; i < on.table.rows() && bad < 5; ++i)
-    for (std::size_t j = 0; j < on.table.cols() && bad < 5; ++j)
-      if (!(on.table.at(i, j) == off.table.at(i, j))) {
-        ADD_FAILURE() << what << ": mismatch at (" << i << ", " << j << ")";
-        ++bad;
-      }
+  expect_tables_identical(on.table, off.table, what);
   // The knob must not change anything the stats derive from the table.
   EXPECT_EQ(on.stats.cells, off.stats.cells) << what;
+  // Pricing keys on a real SIMD hook: a hook-less problem's schedule must
+  // not move when its fronts take the span path.
+  if constexpr (!has_batch_front_v<P>) {
+    EXPECT_EQ(on.stats.sim_seconds, off.stats.sim_seconds) << what;
+  }
+}
+
+/// The same comparison through solve_frontier (frontier tier, short
+/// checkpoint bands so reads rematerialize through the engines too).
+template <typename P>
+void expect_frontier_batch_identical(const P& p, RunConfig cfg,
+                                     const std::string& what) {
+  cfg.storage = Storage::kFrontier;
+  cfg.checkpoint_interval = 3;
+  cfg.batch_kernels = false;
+  const auto off = solve_frontier(p, cfg);
+  cfg.batch_kernels = true;
+  const auto on = solve_frontier(p, cfg);
+  expect_tables_identical(on.table, off.table, what + " frontier");
+  if constexpr (!has_batch_front_v<P>) {
+    EXPECT_EQ(on.stats.sim_seconds, off.stats.sim_seconds) << what;
+  }
 }
 
 struct Shape {
@@ -238,6 +309,22 @@ TEST(BatchKernels, DifferentialRealProblems) {
   const problems::MaxNwProblem maxnw(problems::random_input_grid(70, 70, 24),
                                      3);
   problems::MinNwNProblem minnwn(64, 96, 1);
+  // Problems without a compute_front hook: their interior runs take the
+  // runner's generic span loop when batch kernels are on and compute_cell
+  // when off. Column-min runs through the Vertical transpose adapter.
+  const problems::NeedlemanWunschProblem nw(a, b);
+  const problems::SmithWatermanProblem sw(a, b);
+  const problems::DtwProblem dtw(problems::random_walk_series(73, 25),
+                                 problems::random_walk_series(88, 26));
+  const problems::FloydSteinbergProblem fs(
+      problems::noise_image(70, 83, 27));
+  const problems::ColumnMinPathProblem cmin(
+      problems::random_cost_board(66, 95, 28));
+  static_assert(!has_batch_front_v<problems::NeedlemanWunschProblem>);
+  static_assert(!has_batch_front_v<problems::SmithWatermanProblem>);
+  static_assert(!has_batch_front_v<problems::DtwProblem>);
+  static_assert(!has_batch_front_v<problems::FloydSteinbergProblem>);
+  static_assert(!has_batch_front_v<problems::ColumnMinPathProblem>);
 
   for (const Mode mode : {Mode::kCpuSerial, Mode::kCpuParallel, Mode::kGpu,
                           Mode::kHeterogeneous}) {
@@ -255,24 +342,58 @@ TEST(BatchKernels, DifferentialRealProblems) {
       expect_batch_identical(seam, cfg, "seam" + tag);
       expect_batch_identical(maxnw, cfg, "maxnw" + tag);
       expect_batch_identical(minnwn, cfg, "minnwn" + tag);
+      expect_batch_identical(nw, cfg, "nw" + tag);
+      expect_batch_identical(sw, cfg, "sw" + tag);
+      expect_batch_identical(dtw, cfg, "dtw" + tag);
+      expect_batch_identical(fs, cfg, "dither" + tag);
+      expect_batch_identical(cmin, cfg, "columnmin" + tag);
     }
+    RunConfig cfg;
+    cfg.mode = mode;
+    const std::string tag = " mode=" + to_string(mode);
+    expect_frontier_batch_identical(nw, cfg, "nw" + tag);
+    expect_frontier_batch_identical(sw, cfg, "sw" + tag);
+    expect_frontier_batch_identical(dtw, cfg, "dtw" + tag);
+    expect_frontier_batch_identical(fs, cfg, "dither" + tag);
+    expect_frontier_batch_identical(cmin, cfg, "columnmin" + tag);
+  }
+}
+
+// The hook-less path on the executor's workers (thread_local scratch).
+TEST(BatchKernels, DifferentialHooklessWithThreadPool) {
+  cpu::ThreadPool pool(4);
+  const problems::NeedlemanWunschProblem nw(random_seq(300, 31),
+                                            random_seq(280, 32));
+  const problems::FloydSteinbergProblem fs(
+      problems::noise_image(150, 170, 33));
+  const problems::ColumnMinPathProblem cmin(
+      problems::random_cost_board(140, 160, 34));
+  for (const Mode mode :
+       {Mode::kCpuParallel, Mode::kGpu, Mode::kHeterogeneous}) {
+    RunConfig cfg;
+    cfg.mode = mode;
+    cfg.pool = &pool;
+    const std::string tag = " pooled mode=" + to_string(mode);
+    expect_batch_identical(nw, cfg, "nw" + tag);
+    expect_batch_identical(fs, cfg, "dither" + tag);
+    expect_batch_identical(cmin, cfg, "columnmin" + tag);
   }
 }
 
 // ---------------------------------------------------------------------
 // Property: over every layout, running fronts through run_front_range in
 // arbitrary [lo, hi) chunks computes each cell exactly once (hook or
-// scalar, never both), hands the hook only valid interior spans, and
-// reproduces the plain row-major reference table.
+// compute, never both), hands the hook only valid interior spans, and
+// reproduces the plain row-major reference table — whether the problem
+// accepts spans, has no hook, or rejects every span.
 
-template <typename Layout>
+template <Hook H, typename Layout>
 void run_layout_property(const Layout& layout, ContributingSet deps,
                          std::uint64_t seed) {
   const std::size_t rows = layout.rows(), cols = layout.cols();
   SyntheticBatchProblem base(rows, cols, deps);
-  Grid<std::int32_t> hook_counts(rows, cols, 0);
-  Grid<std::int32_t> scalar_counts(rows, cols, 0);
-  RecordingProblem p(base, &hook_counts, &scalar_counts);
+  CellCounts counts(rows, cols);
+  RecordingProblem<H> p(base, &counts);
 
   std::vector<std::int32_t> storage(layout.size(), 0);
   auto addr = [&](std::size_t i, std::size_t j) {
@@ -305,7 +426,7 @@ void run_layout_property(const Layout& layout, ContributingSet deps,
   for (std::size_t i = 0; i < rows && bad < 5; ++i) {
     for (std::size_t j = 0; j < cols && bad < 5; ++j) {
       const std::int32_t times =
-          hook_counts.at(i, j) + scalar_counts.at(i, j);
+          counts.hook.at(i, j) + counts.scalar.at(i, j);
       if (times != 1) {
         ADD_FAILURE() << "cell (" << i << ", " << j << ") computed "
                       << times << " times";
@@ -317,28 +438,50 @@ void run_layout_property(const Layout& layout, ContributingSet deps,
       }
     }
   }
+  // A 64x64 table has interior runs on every layout, so the rejecting
+  // hook must actually have been offered spans.
+  if (H == Hook::kReject && rows == 64 && cols == 64) {
+    EXPECT_GT(counts.rejected_spans, 0u);
+  }
+}
+
+template <Hook H>
+void run_all_layouts_property(std::uint64_t seed) {
+  constexpr Shape kPropShapes[] = {{1, 1},   {1, 37},  {37, 1}, {17, 23},
+                                   {40, 9},  {9, 40},  {64, 64}};
+  for (const Shape& sh : kPropShapes) {
+    SCOPED_TRACE(std::to_string(sh.rows) + "x" + std::to_string(sh.cols));
+    const std::size_t n = sh.rows, m = sh.cols;
+    run_layout_property<H>(RowMajorLayout(n, m),
+                           ContributingSet{Dep::kNW, Dep::kN, Dep::kNE},
+                           ++seed);
+    run_layout_property<H>(ColumnMajorLayout(n, m),
+                           ContributingSet{Dep::kW, Dep::kNW}, ++seed);
+    run_layout_property<H>(AntiDiagonalLayout(n, m),
+                           ContributingSet{Dep::kW, Dep::kNW, Dep::kN},
+                           ++seed);
+    run_layout_property<H>(
+        KnightMoveLayout(n, m),
+        ContributingSet{Dep::kW, Dep::kNW, Dep::kN, Dep::kNE}, ++seed);
+    run_layout_property<H>(ShellLayout(n, m), ContributingSet{Dep::kNW},
+                           ++seed);
+    run_layout_property<H>(MirrorShellLayout(n, m),
+                           ContributingSet{Dep::kNE}, ++seed);
+  }
 }
 
 TEST(BatchKernels, FrontRunTilingProperty) {
-  constexpr Shape kPropShapes[] = {{1, 1},   {1, 37},  {37, 1}, {17, 23},
-                                   {40, 9},  {9, 40},  {64, 64}};
-  std::uint64_t seed = 1000;
-  for (const Shape& sh : kPropShapes) {
-    const std::size_t n = sh.rows, m = sh.cols;
-    run_layout_property(RowMajorLayout(n, m),
-                        ContributingSet{Dep::kNW, Dep::kN, Dep::kNE},
-                        ++seed);
-    run_layout_property(ColumnMajorLayout(n, m),
-                        ContributingSet{Dep::kW, Dep::kNW}, ++seed);
-    run_layout_property(AntiDiagonalLayout(n, m),
-                        ContributingSet{Dep::kW, Dep::kNW, Dep::kN}, ++seed);
-    run_layout_property(
-        KnightMoveLayout(n, m),
-        ContributingSet{Dep::kW, Dep::kNW, Dep::kN, Dep::kNE}, ++seed);
-    run_layout_property(ShellLayout(n, m), ContributingSet{Dep::kNW},
-                        ++seed);
-    run_layout_property(MirrorShellLayout(n, m), ContributingSet{Dep::kNE},
-                        ++seed);
+  {
+    SCOPED_TRACE("hook accepts");
+    run_all_layouts_property<Hook::kAccept>(1000);
+  }
+  {
+    SCOPED_TRACE("no hook");
+    run_all_layouts_property<Hook::kNone>(2000);
+  }
+  {
+    SCOPED_TRACE("hook rejects");
+    run_all_layouts_property<Hook::kReject>(3000);
   }
 }
 

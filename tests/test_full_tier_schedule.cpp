@@ -53,7 +53,7 @@ bool same_table(const Grid<V>& a, const Grid<V>& b) {
 
 template <LddpProblem P>
 void expect_pinned(const std::string& name, const P& p,
-                   const Pinned (&pins)[3]) {
+                   const Pinned (&pins)[3], bool batch_kernels = false) {
   const Grid<typename P::Value> ref = [&] {
     RunConfig cfg;
     cfg.mode = Mode::kCpuSerial;
@@ -62,16 +62,15 @@ void expect_pinned(const std::string& name, const P& p,
   for (const Pinned& pin : pins) {
     RunConfig cfg;
     cfg.mode = pin.mode;
-    cfg.batch_kernels = false;
+    cfg.batch_kernels = batch_kernels;
     sim::Timeline recorded;
     cfg.record_timeline = &recorded;
     const auto r = solve(p, cfg);
-    EXPECT_EQ(r.stats.sim_seconds, pin.sim_seconds)
-        << name << " " << to_string(pin.mode);
-    EXPECT_EQ(recorded.op_count(), pin.ops)
-        << name << " " << to_string(pin.mode);
-    EXPECT_TRUE(same_table(r.table, ref))
-        << name << " " << to_string(pin.mode);
+    const std::string what = name + " " + to_string(pin.mode) +
+                             (batch_kernels ? " batch" : " scalar");
+    EXPECT_EQ(r.stats.sim_seconds, pin.sim_seconds) << what;
+    EXPECT_EQ(recorded.op_count(), pin.ops) << what;
+    EXPECT_TRUE(same_table(r.table, ref)) << what;
   }
 }
 
@@ -83,6 +82,37 @@ TEST(FullTierSchedule, LevenshteinAntiDiagonal) {
                 {{Mode::kCpuParallel, 0x1.452e3a6c890f5p-12, 519},
                  {Mode::kGpu, 0x1.066658924e444p-10, 522},
                  {Mode::kHeterogeneous, 0x1.54f8771fc02cbp-12, 534}});
+}
+
+// NW and SW have no compute_front hook. Their interior fronts run through
+// the front runner's generic span loop whenever batch kernels are on, but
+// pricing keys on a real SIMD hook, so both settings must give the same
+// schedule (and it cannot depend on the host's calibrated vector
+// speedup). The constants were captured at commit 00cff56, where these
+// problems still ran per cell.
+constexpr Pinned kNwPins[] = {
+    {Mode::kCpuParallel, 0x1.6fbf6afeeb2c3p-12, 519},
+    {Mode::kGpu, 0x1.1bcb147d55e74p-10, 522},
+    {Mode::kHeterogeneous, 0x1.7eba7bf18a857p-12, 534}};
+constexpr Pinned kSwPins[] = {
+    {Mode::kCpuParallel, 0x1.9a509b914d498p-12, 519},
+    {Mode::kGpu, 0x1.1bcb147d55e74p-10, 522},
+    {Mode::kHeterogeneous, 0x1.a87c80c354de8p-12, 534}};
+
+TEST(FullTierSchedule, NeedlemanWunschAntiDiagonal) {
+  const problems::NeedlemanWunschProblem p(
+      problems::random_sequence(kRows - 1, 7),
+      problems::random_sequence(kCols - 1, 8));
+  expect_pinned("nw", p, kNwPins);
+  expect_pinned("nw", p, kNwPins, /*batch_kernels=*/true);
+}
+
+TEST(FullTierSchedule, SmithWatermanAntiDiagonal) {
+  const problems::SmithWatermanProblem p(
+      problems::random_sequence(kRows - 1, 9),
+      problems::random_sequence(kCols - 1, 10));
+  expect_pinned("sw", p, kSwPins);
+  expect_pinned("sw", p, kSwPins, /*batch_kernels=*/true);
 }
 
 TEST(FullTierSchedule, DitherKnightMove) {
