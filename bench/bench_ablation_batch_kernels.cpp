@@ -14,9 +14,12 @@
 //     Floyd-Steinberg dither (knight-move) and column-min (Vertical, via
 //     the transpose adapter), simulated-GPU mode, full tier, best of 5.
 //     Batch on runs interior runs through the front runner's generic span
-//     loop, batch off runs every cell through compute_cell. Gate: NW and
-//     dither >= 1.25x cells/second; column-min is recorded only, because
-//     its full-tier time is dominated by the transposes.
+//     loop, batch off runs every cell through compute_cell. Gate: NW >=
+//     1.25x cells/second. Full-tier dither and column-min are recorded
+//     only: the first touch and drain of dither's 64 MiB result grid, and
+//     column-min's transposes, take most of their time whichever path
+//     computes the cells. Dither is gated (>= 1.25x) on the frontier tier,
+//     which keeps no result grid.
 //  3. Front-length sweep: run_front_range over one packed anti-diagonal
 //     front at L in {16, 64, 256, ..., 4096}. Gate: at L >= 256 the batch
 //     path is never slower than 1.10x the scalar path (below that the
@@ -63,16 +66,18 @@ int failures = 0;
 /// BufferPool gives steady-state allocation behaviour (the batch engine's
 /// serving regime) to both variants alike.
 template <typename P>
-double full_solve_cells_per_sec(const P& p, bool batch,
+double full_solve_cells_per_sec(const P& p, bool batch, bool frontier,
                                 sim::BufferPool* buffers) {
   RunConfig cfg;
   cfg.mode = Mode::kGpu;  // anti-diagonal wavefronts, untiled
   cfg.tile = 0;
   cfg.batch_kernels = batch;
   cfg.buffer_pool = buffers;
+  cfg.storage = Storage::kFrontier;  // read by solve_frontier only
   double best = 0.0;
   for (int rep = 0; rep < 5; ++rep) {
-    const SolveStats stats = solve(p, cfg).stats;
+    const SolveStats stats =
+        frontier ? solve_frontier(p, cfg).stats : solve(p, cfg).stats;
     if (stats.real_seconds <= 0.0) continue;
     best = std::max(
         best, static_cast<double>(stats.cells) / stats.real_seconds);
@@ -80,17 +85,18 @@ double full_solve_cells_per_sec(const P& p, bool batch,
   return best;
 }
 
-/// Batch on vs off over full solves of `p`; records both wall rows under
-/// `size` and fails the run when the speedup is below `gate` (0 records
-/// only).
+/// Batch on vs off over full solves of `p` (full tier, or the frontier
+/// tier when `frontier` is set); records both wall rows under `size` and
+/// fails the run when the speedup is below `gate` (0 records only).
 template <typename P>
 void full_solve_ablation(const char* name, std::size_t size, const P& p,
-                         double gate, lddp::bench::JsonWriter& json) {
+                         double gate, lddp::bench::JsonWriter& json,
+                         bool frontier = false) {
   sim::BufferPool buffers;
-  const double off = full_solve_cells_per_sec(p, false, &buffers);
-  const double on = full_solve_cells_per_sec(p, true, &buffers);
+  const double off = full_solve_cells_per_sec(p, false, frontier, &buffers);
+  const double on = full_solve_cells_per_sec(p, true, frontier, &buffers);
   const double speedup = off > 0.0 ? on / off : 0.0;
-  std::printf("%-12s %6zu | off %10.1f Mcell/s | on %10.1f Mcell/s | %.2fx\n",
+  std::printf("%-16s %6zu | off %10.1f Mcell/s | on %10.1f Mcell/s | %.2fx\n",
               name, size, off / 1e6, on / 1e6, speedup);
   json.record_wall(std::string(name) + "/off", size,
                    1e3 * p.rows() * p.cols() / off, off);
@@ -187,10 +193,11 @@ int main() {
                       problems::NeedlemanWunschProblem(random_dna(kM, 5),
                                                        random_dna(kM, 6)),
                       1.25, json);
-  full_solve_ablation(
-      "dither", kM,
-      problems::FloydSteinbergProblem(problems::noise_image(kM, kM, 7)),
-      1.25, json);
+  const problems::FloydSteinbergProblem dither(
+      problems::noise_image(kM, kM, 7));
+  full_solve_ablation("dither", kM, dither, 0.0, json);
+  full_solve_ablation("dither_frontier", kM, dither, 1.25, json,
+                      /*frontier=*/true);
   full_solve_ablation(
       "columnmin", kM,
       problems::ColumnMinPathProblem(problems::random_cost_board(kM, kM, 8)),
