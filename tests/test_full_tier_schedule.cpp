@@ -7,7 +7,8 @@
 // count of the recorded timeline is a pricing change, not a storage one.
 //
 // batch_kernels is off so the CPU pricing does not pick up the host's
-// calibrated vector speedup (a per-machine measurement).
+// calibrated vector speedup (a per-machine measurement); the hook-less
+// NW and SW pins hold with it on as well.
 #include <gtest/gtest.h>
 
 #include <cstddef>
