@@ -37,6 +37,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/chaos.h"
@@ -294,23 +295,14 @@ inline constexpr std::size_t kLaneMaxCells = 2'097'152;
 
 /// Everything a lane-packed job needs at cohort-execution time. Owned by
 /// the job as a type-erased shared_ptr; the lane_exec fn pointer (bound
-/// to the problem type at submit()) casts it back.
-template <LddpProblem P>
+/// to the problem and result types at submit) casts it back. The problem
+/// is shared because a frontier table's remat callback keeps reading it
+/// after the engine drops the job.
+template <LddpProblem P, typename Result>
 struct LanePayload {
-  P problem;
-  RunConfig rc;
-  std::shared_ptr<std::promise<SolveResult<P>>> promise;
-  sim::PlatformSpec platform;
-};
-
-/// Frontier-storage lane payload: the problem is shared, because the
-/// fulfilled FrontierTable's remat callback keeps reading it after the
-/// engine drops the job.
-template <LddpProblem P>
-struct FrontierLanePayload {
   std::shared_ptr<const P> problem;
   RunConfig rc;
-  std::shared_ptr<std::promise<FrontierSolveResult<P>>> promise;
+  std::shared_ptr<std::promise<Result>> promise;
   sim::PlatformSpec platform;
 };
 
@@ -365,144 +357,20 @@ class BatchEngine {
   template <LddpProblem P>
   std::optional<std::future<SolveResult<P>>> submit(
       P problem, RunConfig rc, const chaos::RequestOptions& opts) {
-    LDDP_CHECK_MSG(opts.weight > 0.0, "batch weight must be positive");
-    auto promise = std::make_shared<std::promise<SolveResult<P>>>();
-    std::future<SolveResult<P>> future = promise->get_future();
-    auto job = std::make_unique<Job>();
-    job->weight = opts.weight;
-    const double deadline_ms =
-        opts.deadline_ms < 0.0 ? cfg_.deadline_ms : opts.deadline_ms;
-    job->deadline_s = deadline_ms > 0.0 ? deadline_ms * 1e-3 : 0.0;
-    job->max_retries = opts.max_retries < 0
-                           ? cfg_.max_retries
-                           : static_cast<std::size_t>(opts.max_retries);
-    job->chaos_plan = cfg_.chaos;
-    job->cancel = opts.cancel;
-    job->est = detail::estimate_solve_seconds(
-        cfg_.platform, work_profile_of(problem),
-        problem.rows() * problem.cols());
-    job->packable =
-        rc.pack_solves == -1 ? cfg_.pack_solves : rc.pack_solves != 0;
-    job->batch_kernels = rc.batch_kernels;
-    job->est_table_bytes =
-        detail::estimate_table_bytes(problem, rc, /*frontier=*/false);
-    // Lane packing: small CPU-resolved requests become cohort-groupable
-    // lane jobs, executed by lane_exec over the whole cohort instead of
-    // job->run. Eligibility is a pure function of the request (never of
-    // what else is in flight), so the recorded timeline — serial-scan
-    // pricing, the reference mode for lane cohorts — is deterministic.
-    const std::size_t cells = problem.rows() * problem.cols();
-    const Mode resolved = detail::resolve_auto(rc.mode, cells);
-    if (lane_limit() > 1 && rc.batch_kernels &&
-        (resolved == Mode::kCpuSerial || resolved == Mode::kCpuParallel) &&
-        cells <= detail::kLaneMaxCells) {
-      job->lane_key = make_solve_class_key(problem, rc).token();
-      job->lane_exec = &BatchEngine::lane_exec_impl<P>;
-      job->lane_payload = std::make_shared<detail::LanePayload<P>>(
-          detail::LanePayload<P>{std::move(problem), rc, promise,
-                                 cfg_.platform});
-      if (!admit(std::move(job))) return std::nullopt;
-      return future;
-    }
-    job->run = [problem = std::move(problem), rc, promise,
-                platform = cfg_.platform, tune_auto = cfg_.tune_auto,
-                tuner = &tuner_cache_,
-                backoff_s = cfg_.retry_backoff_ms * 1e-3](
-                   Job& j, cpu::ThreadPool* pool,
-                   sim::BufferPool* buffers) mutable {
-      rc.platform = platform;
-      rc.pool = pool;
-      // The engine owns the substrate: pin the per-request schedule to
-      // kAuto so solve() uses the engine's pool verbatim instead of
-      // re-routing to the process-wide shared executor.
-      rc.schedule = cpu::Schedule::kAuto;
-      rc.buffer_pool = buffers;
-      // Cross-solve tuning cache: auto-parameter heterogeneous requests
-      // reuse one sweep per equivalence class (first contact pays it).
-      // Resolved once, before the attempt loop and outside any fault
-      // scope — tuning sweeps are shared infrastructure, never faulted.
-      if (tune_auto &&
-          detail::resolve_auto(rc.mode, problem.rows() * problem.cols()) ==
-              Mode::kHeterogeneous &&
-          rc.hetero.t_switch < 0 && rc.hetero.t_share < 0) {
-        const TunerCache::Entry tuned = tuner->lookup_or_tune(problem, rc);
-        rc.hetero = tuned.params;
-        if (rc.tile == -1) rc.tile = tuned.tile;
-      }
-      rc.trace_path.clear();
-      run_lifecycle<SolveResult<P>>(
-          j, *promise, rc, backoff_s,
-          [&](const RunConfig& arc) { return solve(problem, arc); });
-    };
-    if (!admit(std::move(job))) return std::nullopt;
-    return future;
+    return submit_request<SolveResult<P>>(std::move(problem), std::move(rc),
+                                          opts);
   }
 
   /// Frontier-storage admission: like submit(), but the future resolves
   /// to a FrontierSolveResult — checkpoint rows + last row + the remat
   /// callback instead of the full grid — and the admission memory budget
   /// meters the frontier tier's resident bytes, so far more solves of a
-  /// given size fit in flight. Lane-eligible requests have NO cell cap on
-  /// this path: kLaneMaxCells exists to bound interleaved full tables,
-  /// and frontier lanes roll two rows each. The engine shares ownership
-  /// of the problem with the returned table (its remat callback reads the
-  /// problem on every interior access).
+  /// given size fit in flight. The table shares ownership of the problem.
   template <LddpProblem P>
   std::optional<std::future<FrontierSolveResult<P>>> submit_frontier(
       P problem, RunConfig rc = {}, const chaos::RequestOptions& opts = {}) {
-    LDDP_CHECK_MSG(opts.weight > 0.0, "batch weight must be positive");
-    auto promise =
-        std::make_shared<std::promise<FrontierSolveResult<P>>>();
-    std::future<FrontierSolveResult<P>> future = promise->get_future();
-    auto job = std::make_unique<Job>();
-    job->weight = opts.weight;
-    const double deadline_ms =
-        opts.deadline_ms < 0.0 ? cfg_.deadline_ms : opts.deadline_ms;
-    job->deadline_s = deadline_ms > 0.0 ? deadline_ms * 1e-3 : 0.0;
-    job->max_retries = opts.max_retries < 0
-                           ? cfg_.max_retries
-                           : static_cast<std::size_t>(opts.max_retries);
-    job->chaos_plan = cfg_.chaos;
-    job->cancel = opts.cancel;
-    job->est = detail::estimate_solve_seconds(
-        cfg_.platform, work_profile_of(problem),
-        problem.rows() * problem.cols());
-    job->packable =
-        rc.pack_solves == -1 ? cfg_.pack_solves : rc.pack_solves != 0;
-    job->batch_kernels = rc.batch_kernels;
-    job->est_table_bytes =
-        detail::estimate_table_bytes(problem, rc, /*frontier=*/true);
-    const std::size_t cells = problem.rows() * problem.cols();
-    const Mode resolved = detail::resolve_auto(rc.mode, cells);
-    auto sp = std::make_shared<const P>(std::move(problem));
-    if (rc.storage != Storage::kFull && lane_limit() > 1 &&
-        rc.batch_kernels &&
-        (resolved == Mode::kCpuSerial || resolved == Mode::kCpuParallel)) {
-      job->lane_key = make_solve_class_key(*sp, rc).token() + "|frontier";
-      job->lane_exec = &BatchEngine::lane_exec_frontier_impl<P>;
-      job->lane_payload = std::make_shared<detail::FrontierLanePayload<P>>(
-          detail::FrontierLanePayload<P>{sp, rc, promise, cfg_.platform});
-      if (!admit(std::move(job))) return std::nullopt;
-      return future;
-    }
-    job->run = [sp, rc, promise, platform = cfg_.platform,
-                backoff_s = cfg_.retry_backoff_ms * 1e-3](
-                   Job& j, cpu::ThreadPool* pool,
-                   sim::BufferPool* buffers) mutable {
-      rc.platform = platform;
-      rc.pool = pool;
-      // The engine owns the substrate: pin the per-request schedule to
-      // kAuto so solve() uses the engine's pool verbatim instead of
-      // re-routing to the process-wide shared executor.
-      rc.schedule = cpu::Schedule::kAuto;
-      rc.buffer_pool = buffers;
-      rc.trace_path.clear();
-      run_lifecycle<FrontierSolveResult<P>>(
-          j, *promise, rc, backoff_s,
-          [&](const RunConfig& arc) { return solve_frontier(sp, arc); });
-    };
-    if (!admit(std::move(job))) return std::nullopt;
-    return future;
+    return submit_request<FrontierSolveResult<P>>(std::move(problem),
+                                                  std::move(rc), opts);
   }
 
   /// Number of requests waiting for a slot right now (diagnostics).
@@ -549,6 +417,93 @@ class BatchEngine {
     std::size_t lane_lockstep_cells = 0;  // head only: cohort lockstep cells
     std::size_t lane_total_cells = 0;     // head only: cohort total cells
   };
+
+  /// The one request body behind submit() and submit_frontier(); `Result`
+  /// picks the storage tier (SolveResult: full grid, FrontierSolveResult:
+  /// checkpointed table).
+  template <typename Result, LddpProblem P>
+  std::optional<std::future<Result>> submit_request(
+      P problem, RunConfig rc, const chaos::RequestOptions& opts) {
+    constexpr bool kFrontier = std::is_same_v<Result, FrontierSolveResult<P>>;
+    LDDP_CHECK_MSG(opts.weight > 0.0, "batch weight must be positive");
+    auto promise = std::make_shared<std::promise<Result>>();
+    std::future<Result> future = promise->get_future();
+    auto job = std::make_unique<Job>();
+    job->weight = opts.weight;
+    const double deadline_ms =
+        opts.deadline_ms < 0.0 ? cfg_.deadline_ms : opts.deadline_ms;
+    job->deadline_s = deadline_ms > 0.0 ? deadline_ms * 1e-3 : 0.0;
+    job->max_retries = opts.max_retries < 0
+                           ? cfg_.max_retries
+                           : static_cast<std::size_t>(opts.max_retries);
+    job->chaos_plan = cfg_.chaos;
+    job->cancel = opts.cancel;
+    const std::size_t cells = problem.rows() * problem.cols();
+    job->est = detail::estimate_solve_seconds(
+        cfg_.platform, work_profile_of(problem), cells);
+    job->packable =
+        rc.pack_solves == -1 ? cfg_.pack_solves : rc.pack_solves != 0;
+    job->batch_kernels = rc.batch_kernels;
+    job->est_table_bytes =
+        detail::estimate_table_bytes(problem, rc, kFrontier);
+    auto sp = std::make_shared<const P>(std::move(problem));
+    // Lane packing: small CPU-resolved requests become cohort-groupable
+    // lane jobs, executed by lane_exec over the whole cohort instead of
+    // job->run. Eligibility is a pure function of the request (never of
+    // what else is in flight), so the recorded timeline — serial-scan
+    // pricing, the reference mode for lane cohorts — is deterministic.
+    // kLaneMaxCells bounds interleaved full tables; frontier lanes roll
+    // two rows each and have no cell cap.
+    const Mode resolved = detail::resolve_auto(rc.mode, cells);
+    const bool lane_sized = kFrontier ? rc.storage != Storage::kFull
+                                      : cells <= detail::kLaneMaxCells;
+    if (lane_sized && lane_limit() > 1 && rc.batch_kernels &&
+        (resolved == Mode::kCpuSerial || resolved == Mode::kCpuParallel)) {
+      job->lane_key = make_solve_class_key(*sp, rc).token() +
+                      (kFrontier ? "|frontier" : "");
+      job->lane_exec = &BatchEngine::lane_exec_impl<P, Result>;
+      job->lane_payload = std::make_shared<detail::LanePayload<P, Result>>(
+          detail::LanePayload<P, Result>{sp, rc, promise, cfg_.platform});
+      if (!admit(std::move(job))) return std::nullopt;
+      return future;
+    }
+    job->run = [sp, rc, promise, platform = cfg_.platform,
+                tune_auto = cfg_.tune_auto, tuner = &tuner_cache_,
+                backoff_s = cfg_.retry_backoff_ms * 1e-3](
+                   Job& j, cpu::ThreadPool* pool,
+                   sim::BufferPool* buffers) mutable {
+      rc.platform = platform;
+      rc.pool = pool;
+      // The engine owns the substrate: pin the per-request schedule to
+      // kAuto so solve() uses the engine's pool verbatim instead of
+      // re-routing to the process-wide shared executor.
+      rc.schedule = cpu::Schedule::kAuto;
+      rc.buffer_pool = buffers;
+      // Cross-solve tuning cache: auto-parameter heterogeneous requests
+      // reuse one sweep per equivalence class (first contact pays it), on
+      // either storage tier. Resolved once, before the attempt loop and
+      // outside any fault scope — tuning sweeps are shared
+      // infrastructure, never faulted.
+      if (tune_auto &&
+          detail::resolve_auto(rc.mode, sp->rows() * sp->cols()) ==
+              Mode::kHeterogeneous &&
+          rc.hetero.t_switch < 0 && rc.hetero.t_share < 0) {
+        const TunerCache::Entry tuned = tuner->lookup_or_tune(*sp, rc);
+        rc.hetero = tuned.params;
+        if (rc.tile == -1) rc.tile = tuned.tile;
+      }
+      rc.trace_path.clear();
+      run_lifecycle<Result>(j, *promise, rc, backoff_s,
+                            [&](const RunConfig& arc) {
+                              if constexpr (kFrontier)
+                                return solve_frontier(sp, arc);
+                              else
+                                return solve(*sp, arc);
+                            });
+    };
+    if (!admit(std::move(job))) return std::nullopt;
+    return future;
+  }
 
   /// Request-lifecycle loop shared by the solve() and solve_frontier()
   /// job bodies: attempt, and on failure walk the degradation ladder with
@@ -643,18 +598,30 @@ class BatchEngine {
   /// cohort-mates. Lane degradation charges NO backoff: each lane's
   /// recorded timeline stays the pure solo serial-scan pricing, so the
   /// merged report remains independent of racy cohort formation.
-  template <LddpProblem P>
+  template <LddpProblem P, typename Result>
   static void lane_exec_impl(Job** cohort, std::size_t n) {
-    std::vector<detail::LanePayload<P>*> pls(n);
-    std::vector<const P*> probs(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      pls[k] =
-          static_cast<detail::LanePayload<P>*>(cohort[k]->lane_payload.get());
-      probs[k] = &pls[k]->problem;
-    }
+    using V = typename P::Value;
+    constexpr bool kFrontier = std::is_same_v<Result, FrontierSolveResult<P>>;
+    using Rows = std::conditional_t<kFrontier, detail::CheckpointRows<V>,
+                                    detail::GridRows<V>>;
     Stopwatch wall;
+    std::vector<detail::LanePayload<P, Result>*> pls(n);
+    std::vector<const P*> probs(n);
+    std::vector<Rows> rows;
+    rows.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      pls[k] = static_cast<detail::LanePayload<P, Result>*>(
+          cohort[k]->lane_payload.get());
+      const P& p = *pls[k]->problem;
+      probs[k] = &p;
+      if constexpr (kFrontier)
+        rows.emplace_back(p.rows(), p.cols(),
+                          detail::resolve_checkpoint_interval(
+                              pls[k]->rc.checkpoint_interval, p.rows()));
+      else
+        rows.emplace_back(p.rows(), p.cols());
+    }
     detail::LaneExecStats lst;
-    std::vector<Grid<typename P::Value>> tables;
     bool cohort_ok = true;
     // Lifecycle hook for the lockstep sweep: the cohort head's fault plan
     // draws kLaneKernel decisions per row, and every lane's cancellation
@@ -676,8 +643,8 @@ class BatchEngine {
       if (armed)
         scope.emplace(&cohort[0]->chaos_plan, cohort[0]->index,
                       /*attempt=*/0);
-      tables = detail::solve_lane_cohort(probs, /*batch_kernels=*/true, &lst,
-                                         poll);
+      detail::run_lane_cohort(probs, rows, /*batch_kernels=*/true, &lst,
+                              poll);
     } catch (...) {
       cohort_ok = false;
     }
@@ -685,15 +652,12 @@ class BatchEngine {
         wall.seconds() / static_cast<double>(n);
     for (std::size_t k = 0; k < n; ++k) {
       Job& j = *cohort[k];
-      const P& p = pls[k]->problem;
+      const P& p = *probs[k];
       try {
         if (j.cancel.cancelled()) throw fault::CancelledError();
         // The solo fallback runs poll-free and outside any fault scope —
         // it is the cohort's guaranteed reference rung.
-        Grid<typename P::Value> table =
-            cohort_ok ? std::move(tables[k])
-                      : std::move(detail::solve_lane_cohort(
-                            std::vector<const P*>{&p}, true, nullptr)[0]);
+        if (!cohort_ok) detail::fill_rows(p, rows[k], 0, /*batch=*/true);
         // Identical pricing to a solo serial scan (solve_cpu_serial),
         // independent of the cohort this job landed in — the merged
         // simulated report must not depend on racy cohort formation.
@@ -716,6 +680,15 @@ class BatchEngine {
         stats.fronts = p.rows();
         stats.cells = p.rows() * p.cols();
         detail::finish_stats(stats, plat, per_solve_wall);
+        rows[k].finish(stats);
+        Result result{rows[k].take(), stats};
+        if constexpr (kFrontier) {
+          detail::attach_row_remat(
+              result.table,
+              [sp = pls[k]->problem]() -> const P& { return *sp; },
+              /*batch=*/true);
+          result.table.keep_alive(pls[k]->problem);
+        }
         j.recorded = plat.timeline();
         j.stats = stats;
         if (!cohort_ok) {
@@ -725,125 +698,7 @@ class BatchEngine {
         } else {
           j.outcome = lddp::chaos::RequestOutcome::kOk;
         }
-        pls[k]->promise->set_value(
-            SolveResult<P>{std::move(table), stats});
-      } catch (const fault::CancelledError&) {
-        j.outcome = lddp::chaos::RequestOutcome::kCancelled;
-        j.failed = true;
-        pls[k]->promise->set_exception(std::current_exception());
-      } catch (const fault::DeadlineExceededError&) {
-        j.outcome = lddp::chaos::RequestOutcome::kDeadlineExceeded;
-        j.failed = true;
-        pls[k]->promise->set_exception(std::current_exception());
-      } catch (...) {
-        j.outcome = lddp::chaos::RequestOutcome::kFailed;
-        j.failed = true;
-        pls[k]->promise->set_exception(std::current_exception());
-      }
-      j.lane_cohort = n;
-    }
-    cohort[0]->lane_head = true;
-    cohort[0]->lane_lockstep_cells = cohort_ok ? lst.lockstep_cells : 0;
-    cohort[0]->lane_total_cells = cohort_ok ? lst.total_cells : 0;
-  }
-
-  /// Frontier analogue of lane_exec_impl: the cohort rolls two-row lane
-  /// buffers (solve_lane_cohort_frontier), each lane keeps only its
-  /// checkpoint rows + last row, and every fulfilled table carries the
-  /// remat callback plus shared ownership of its problem, so results stay
-  /// valid after the engine drops the job. Pricing, lifecycle hooks and
-  /// the solo degradation rung mirror the full-table cohort exactly.
-  template <LddpProblem P>
-  static void lane_exec_frontier_impl(Job** cohort, std::size_t n) {
-    using V = typename P::Value;
-    std::vector<detail::FrontierLanePayload<P>*> pls(n);
-    std::vector<const P*> probs(n);
-    std::vector<std::size_t> ks(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      pls[k] = static_cast<detail::FrontierLanePayload<P>*>(
-          cohort[k]->lane_payload.get());
-      probs[k] = pls[k]->problem.get();
-      ks[k] = detail::resolve_checkpoint_interval(
-          pls[k]->rc.checkpoint_interval, probs[k]->rows());
-    }
-    Stopwatch wall;
-    detail::LaneExecStats lst;
-    std::vector<FrontierTable<V>> tables;
-    bool cohort_ok = true;
-    const bool armed = cohort[0]->chaos_plan.armed();
-    bool any_cancel = false;
-    for (std::size_t k = 0; k < n; ++k)
-      any_cancel = any_cancel || cohort[k]->cancel.valid();
-    std::function<void(std::size_t)> poll;
-    if (armed || any_cancel) {
-      poll = [cohort, n](std::size_t row) {
-        fault::maybe_throw(fault::Site::kLaneKernel, row);
-        for (std::size_t k = 0; k < n; ++k)
-          if (cohort[k]->cancel.cancelled()) throw fault::CancelledError();
-      };
-    }
-    try {
-      std::optional<fault::FaultScope> scope;
-      if (armed)
-        scope.emplace(&cohort[0]->chaos_plan, cohort[0]->index,
-                      /*attempt=*/0);
-      tables = detail::solve_lane_cohort_frontier(probs, ks,
-                                                  /*batch_kernels=*/true,
-                                                  &lst, poll);
-    } catch (...) {
-      cohort_ok = false;
-    }
-    const double per_solve_wall =
-        wall.seconds() / static_cast<double>(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      Job& j = *cohort[k];
-      const P& p = *probs[k];
-      try {
-        if (j.cancel.cancelled()) throw fault::CancelledError();
-        FrontierTable<V> table =
-            cohort_ok ? std::move(tables[k])
-                      : std::move(detail::solve_lane_cohort_frontier(
-                            std::vector<const P*>{&p},
-                            std::vector<std::size_t>{ks[k]}, true,
-                            nullptr)[0]);
-        detail::attach_row_remat(
-            table, [sp = pls[k]->problem]() -> const P& { return *sp; },
-            /*batch=*/true);
-        table.keep_alive(pls[k]->problem);
-        // Identical pricing to a solo serial scan, independent of the
-        // cohort this job landed in (see lane_exec_impl).
-        const ContributingSet deps = p.deps();
-        const bool use_batch = has_batch_front_v<P> && !deps.has_w();
-        sim::Platform plat(pls[k]->platform);
-        fault::RequestControl control;
-        if (j.cancel.valid()) control.cancel = j.cancel.flag();
-        if (j.deadline_s > 0.0) control.deadline_s = j.deadline_s;
-        if (control.cancel != nullptr || control.deadline_s > 0.0)
-          plat.timeline().set_request_control(&control);
-        plat.cpu_charge(p.rows() * p.cols(),
-                        detail::cpu_work_for(p, use_batch),
-                        /*parallel=*/false);
-        plat.timeline().set_request_control(nullptr);
-        SolveStats stats;
-        stats.mode_used = Mode::kCpuSerial;
-        stats.pattern = classify(deps);
-        stats.transfer = TransferNeed::kNone;
-        stats.fronts = p.rows();
-        stats.cells = p.rows() * p.cols();
-        detail::finish_stats(stats, plat, per_solve_wall);
-        detail::finish_frontier_stats(&stats, table,
-                                      2 * p.cols() * sizeof(V));
-        j.recorded = plat.timeline();
-        j.stats = stats;
-        if (!cohort_ok) {
-          j.outcome = lddp::chaos::RequestOutcome::kDegraded;
-          j.degraded = "lane->solo";
-          j.retries = 1;
-        } else {
-          j.outcome = lddp::chaos::RequestOutcome::kOk;
-        }
-        pls[k]->promise->set_value(
-            FrontierSolveResult<P>{std::move(table), stats});
+        pls[k]->promise->set_value(std::move(result));
       } catch (const fault::CancelledError&) {
         j.outcome = lddp::chaos::RequestOutcome::kCancelled;
         j.failed = true;

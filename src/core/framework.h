@@ -12,6 +12,8 @@
 //   int distance = table.at(p.rows() - 1, p.cols() - 1);
 #pragma once
 
+#include <type_traits>
+
 #include "core/adapters.h"
 #include "core/pattern.h"
 #include "core/problem.h"
@@ -80,9 +82,24 @@ std::size_t resolve_tile(const P& p, const RunConfig& cfg) {
                       cfg.fused_launches);
 }
 
-template <LddpProblem P>
-SolveResult<P> solve_canonical(const P& p, Pattern pattern,
-                               const RunConfig& cfg) {
+/// Mode x pattern dispatch of both storage tiers. `store` is GridStorage
+/// (solve) or CheckpointStorage (solve_frontier); the serial, cpu-parallel
+/// and gpu engines are the same for both. What has no front window runs a
+/// full-table strategy, wrapped in the FrontierTable facade on the
+/// frontier tier: the tiled strategies (full tier only — the frontier
+/// tier runs kCpuTiled as cpu-parallel and ignores RunConfig::tile, the
+/// window replacing tiling's locality role), Inverted-L unless the
+/// frontier tier has a bounded shell window for it, and the Inverted-L
+/// heterogeneous split. The other heterogeneous splits still have one
+/// engine per tier. The frontier table comes back without a remat
+/// callback or transform; the solve_frontier wrappers attach both.
+template <LddpProblem P, typename Store>
+auto solve_canonical(const P& p, Pattern pattern, const RunConfig& cfg,
+                     const Store& store) {
+  using V = typename P::Value;
+  constexpr bool kFrontier = std::is_same_v<Store, CheckpointStorage>;
+  std::conditional_t<kFrontier, FrontierSolveResult<P>, SolveResult<P>>
+      result;
   sim::Platform platform(cfg.platform, detail::resolve_pool(cfg),
                          cfg.buffer_pool);
   // Lifecycle enforcement rides the Timeline: every strategy's recorded op
@@ -90,40 +107,57 @@ SolveResult<P> solve_canonical(const P& p, Pattern pattern,
   // install point gives cancellation/deadline checks at front granularity
   // across all execution layers without touching any strategy.
   platform.timeline().set_request_control(cfg.control);
-  const Mode mode = resolve_auto(cfg.mode, p.rows() * p.cols());
+  Mode mode = resolve_auto(cfg.mode, p.rows() * p.cols());
+  if (kFrontier && mode == Mode::kCpuTiled) mode = Mode::kCpuParallel;
   const bool fused = cfg.fused_launches;
   const bool batch = cfg.batch_kernels;
-  SolveResult<P> result;
+  const std::size_t n = p.rows(), m = p.cols();
+  SolveStats& stats = result.stats;
+  auto full = [&](Grid<V> g) {
+    if constexpr (kFrontier)
+      result.table = FrontierTable<V>::full(std::move(g));
+    else
+      result.table = std::move(g);
+  };
+  const bool shell_window =
+      kFrontier && frontier_window_fronts(ShellLayout(n, m), p.deps()) > 0;
   switch (mode) {
     case Mode::kCpuSerial:
-      result.table = solve_cpu_serial(p, &platform, &result.stats, batch);
+      result.table = solve_cpu_serial(p, &platform, &stats, batch, store);
       break;
 
     case Mode::kCpuTiled:
-      result.table = solve_cpu_tiled(p, platform, cfg.cpu_tile,
-                                     &result.stats, batch);
+      if constexpr (!kFrontier)
+        full(solve_cpu_tiled(p, platform, cfg.cpu_tile, &stats, batch));
       break;
 
     case Mode::kCpuParallel:
       switch (pattern) {
         case Pattern::kAntiDiagonal:
           result.table = solve_cpu_parallel(
-              p, AntiDiagonalLayout(p.rows(), p.cols()), platform,
-              &result.stats, detail::kDiagonalCpuAmplification, batch);
+              p, AntiDiagonalLayout(n, m), platform, &stats,
+              detail::kDiagonalCpuAmplification, batch, store);
           break;
         case Pattern::kHorizontal:
           result.table = solve_cpu_parallel(
-              p, RowMajorLayout(p.rows(), p.cols()), platform,
-              &result.stats, /*mem_amplification=*/1.0, batch);
+              p, RowMajorLayout(n, m), platform, &stats,
+              /*mem_amplification=*/1.0, batch, store);
           break;
         case Pattern::kKnightMove:
           result.table = solve_cpu_parallel(
-              p, KnightMoveLayout(p.rows(), p.cols()), platform,
-              &result.stats, detail::kDiagonalCpuAmplification, batch);
+              p, KnightMoveLayout(n, m), platform, &stats,
+              detail::kDiagonalCpuAmplification, batch, store);
           break;
         case Pattern::kInvertedL:
-          result.table = solve_cpu_invertedl(p, platform, &result.stats,
-                                             batch);
+          if constexpr (kFrontier) {
+            if (shell_window) {
+              result.table = solve_cpu_parallel(
+                  p, ShellLayout(n, m), platform, &stats,
+                  detail::kDiagonalCpuAmplification, batch, store);
+              break;
+            }
+          }
+          full(solve_cpu_invertedl(p, platform, &stats, batch));
           break;
         default:
           LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
@@ -131,28 +165,34 @@ SolveResult<P> solve_canonical(const P& p, Pattern pattern,
       break;
 
     case Mode::kGpu:
-      if (const std::size_t tile = resolve_tile(p, cfg); tile > 0) {
-        result.table =
-            solve_gpu_tiled(p, platform, tile, &result.stats, fused, batch);
-        break;
+      if constexpr (!kFrontier) {
+        if (const std::size_t tile = resolve_tile(p, cfg); tile > 0) {
+          full(solve_gpu_tiled(p, platform, tile, &stats, fused, batch));
+          break;
+        }
       }
       switch (pattern) {
         case Pattern::kAntiDiagonal:
-          result.table =
-              solve_gpu(p, AntiDiagonalLayout(p.rows(), p.cols()), platform,
-                        &result.stats, fused, batch);
+          result.table = solve_gpu(p, AntiDiagonalLayout(n, m), platform,
+                                   &stats, fused, batch, store);
           break;
         case Pattern::kHorizontal:
-          result.table = solve_gpu(p, RowMajorLayout(p.rows(), p.cols()),
-                                   platform, &result.stats, fused, batch);
+          result.table = solve_gpu(p, RowMajorLayout(n, m), platform, &stats,
+                                   fused, batch, store);
           break;
         case Pattern::kKnightMove:
-          result.table = solve_gpu(p, KnightMoveLayout(p.rows(), p.cols()),
-                                   platform, &result.stats, fused, batch);
+          result.table = solve_gpu(p, KnightMoveLayout(n, m), platform,
+                                   &stats, fused, batch, store);
           break;
         case Pattern::kInvertedL:
-          result.table = solve_gpu_invertedl(p, platform, &result.stats,
-                                             fused, batch);
+          if constexpr (kFrontier) {
+            if (shell_window) {
+              result.table = solve_gpu(p, ShellLayout(n, m), platform,
+                                       &stats, fused, batch, store);
+              break;
+            }
+          }
+          full(solve_gpu_invertedl(p, platform, &stats, fused, batch));
           break;
         default:
           LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
@@ -160,203 +200,78 @@ SolveResult<P> solve_canonical(const P& p, Pattern pattern,
       break;
 
     case Mode::kHeterogeneous:
-      if (const std::size_t tile = resolve_tile(p, cfg); tile > 0) {
-        result.table = solve_hetero_tiled(p, platform, cfg.hetero, tile,
-                                          &result.stats, fused, batch);
-        break;
-      }
-      switch (pattern) {
-        case Pattern::kAntiDiagonal:
-          result.table =
-              solve_hetero_antidiagonal(p, platform, cfg.hetero,
-                                        &result.stats, fused, batch);
+      if constexpr (kFrontier) {
+        switch (pattern) {
+          case Pattern::kAntiDiagonal:
+            result.table = solve_frontier_hetero(
+                p, AntiDiagonalLayout(n, m), pattern, platform, cfg.hetero,
+                &stats, detail::kDiagonalCpuAmplification, fused, batch,
+                store.k);
+            break;
+          case Pattern::kHorizontal:
+            result.table = solve_frontier_hetero(
+                p, RowMajorLayout(n, m), pattern, platform, cfg.hetero,
+                &stats, /*mem_amplification=*/1.0, fused, batch, store.k);
+            break;
+          case Pattern::kKnightMove:
+            result.table = solve_frontier_hetero(
+                p, KnightMoveLayout(n, m), pattern, platform, cfg.hetero,
+                &stats, detail::kDiagonalCpuAmplification, fused, batch,
+                store.k);
+            break;
+          case Pattern::kInvertedL:
+            // The L-shaped shell split has no strip decomposition over a
+            // window; run the full-table heterogeneous strategy.
+            full(solve_hetero_invertedl(p, platform, cfg.hetero, &stats,
+                                        fused, batch));
+            break;
+          default:
+            LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
+        }
+      } else {
+        if (const std::size_t tile = resolve_tile(p, cfg); tile > 0) {
+          full(solve_hetero_tiled(p, platform, cfg.hetero, tile, &stats,
+                                  fused, batch));
           break;
-        case Pattern::kHorizontal:
-          result.table =
-              solve_hetero_horizontal(p, platform, cfg.hetero, &result.stats,
-                                      fused, batch);
-          break;
-        case Pattern::kKnightMove:
-          result.table =
-              solve_hetero_knightmove(p, platform, cfg.hetero, &result.stats,
-                                      fused, batch);
-          break;
-        case Pattern::kInvertedL:
-          result.table =
-              solve_hetero_invertedl(p, platform, cfg.hetero, &result.stats,
-                                     fused, batch);
-          break;
-        default:
-          LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
+        }
+        switch (pattern) {
+          case Pattern::kAntiDiagonal:
+            full(solve_hetero_antidiagonal(p, platform, cfg.hetero, &stats,
+                                           fused, batch));
+            break;
+          case Pattern::kHorizontal:
+            full(solve_hetero_horizontal(p, platform, cfg.hetero, &stats,
+                                         fused, batch));
+            break;
+          case Pattern::kKnightMove:
+            full(solve_hetero_knightmove(p, platform, cfg.hetero, &stats,
+                                         fused, batch));
+            break;
+          case Pattern::kInvertedL:
+            full(solve_hetero_invertedl(p, platform, cfg.hetero, &stats,
+                                        fused, batch));
+            break;
+          default:
+            LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
+        }
       }
       break;
 
     case Mode::kAuto:
       LDDP_CHECK_MSG(false, "unreachable: auto mode was resolved above");
   }
-  // Table-storage high-water. The front-window engines report grid plus
-  // ring themselves; the others hold the host grid, plus a full device
-  // copy for the tiled and Inverted-L GPU/heterogeneous strategies.
-  if (result.stats.peak_table_bytes == 0) {
+  // Table-storage high-water. The front-window engines report their own;
+  // the full-table strategies hold the host grid, plus a full device copy
+  // for the tiled and Inverted-L GPU/heterogeneous strategies.
+  if (stats.peak_table_bytes == 0) {
     const bool device_copy =
         mode == Mode::kGpu || mode == Mode::kHeterogeneous;
-    result.stats.peak_table_bytes = p.rows() * p.cols() *
-                                    sizeof(typename P::Value) *
-                                    (device_copy ? 2 : 1);
+    stats.peak_table_bytes = n * m * sizeof(V) * (device_copy ? 2 : 1);
   }
   if (!cfg.trace_path.empty())
     platform.timeline().export_chrome_trace(cfg.trace_path);
   // Detach the per-attempt control before copying the timeline out: the
   // recorded schedule outlives this attempt (batch replay, retries).
-  platform.timeline().set_request_control(nullptr);
-  if (cfg.record_timeline != nullptr)
-    *cfg.record_timeline = platform.timeline();
-  return result;
-}
-
-/// Frontier-tier counterpart of solve_canonical: every mode x pattern
-/// runs a frontier engine when the layout admits a bounded front window,
-/// and falls back to the full-table strategy behind the FrontierTable
-/// facade otherwise (Inverted-L with forward-looking dependencies, and
-/// the heterogeneous Inverted-L split). kCpuTiled runs the parallel
-/// frontier engine (there is no tiled frontier engine) and
-/// RunConfig::tile is ignored — the window replaces tiling's locality
-/// role. The returned table has no remat callback or transform yet; the
-/// solve_frontier wrappers attach both.
-template <LddpProblem P>
-FrontierSolveResult<P> solve_frontier_canonical(const P& p, Pattern pattern,
-                                                const RunConfig& cfg) {
-  using V = typename P::Value;
-  sim::Platform platform(cfg.platform, detail::resolve_pool(cfg),
-                         cfg.buffer_pool);
-  platform.timeline().set_request_control(cfg.control);
-  Mode mode = resolve_auto(cfg.mode, p.rows() * p.cols());
-  if (mode == Mode::kCpuTiled) mode = Mode::kCpuParallel;
-  const std::size_t K =
-      resolve_checkpoint_interval(cfg.checkpoint_interval, p.rows());
-  const bool fused = cfg.fused_launches;
-  const bool batch = cfg.batch_kernels;
-  const ContributingSet deps = p.deps();
-  const std::size_t n = p.rows(), m = p.cols();
-  FrontierSolveResult<P> result;
-  SolveStats& stats = result.stats;
-  // Full-table fallback, wrapped in the facade so consumers are uniform.
-  auto take_full = [&](Grid<V> g, bool device_copy) {
-    stats.peak_table_bytes =
-        n * m * sizeof(V) * (device_copy ? 2 : 1);
-    result.table = FrontierTable<V>::full(std::move(g));
-  };
-  switch (mode) {
-    case Mode::kCpuSerial:
-      result.table = solve_frontier_serial(p, &platform, &stats, batch, K);
-      break;
-
-    case Mode::kCpuParallel:
-      switch (pattern) {
-        case Pattern::kAntiDiagonal:
-          result.table = solve_frontier_parallel(
-              p, AntiDiagonalLayout(n, m), platform, &stats,
-              detail::kDiagonalCpuAmplification, batch, K);
-          break;
-        case Pattern::kHorizontal:
-          result.table = solve_frontier_parallel(
-              p, RowMajorLayout(n, m), platform, &stats,
-              /*mem_amplification=*/1.0, batch, K);
-          break;
-        case Pattern::kKnightMove:
-          result.table = solve_frontier_parallel(
-              p, KnightMoveLayout(n, m), platform, &stats,
-              detail::kDiagonalCpuAmplification, batch, K);
-          break;
-        case Pattern::kInvertedL: {
-          const ShellLayout shell(n, m);
-          if (frontier_window_fronts(shell, deps) > 0) {
-            result.table = solve_frontier_parallel(
-                p, shell, platform, &stats,
-                detail::kDiagonalCpuAmplification, batch, K);
-          } else {
-            take_full(solve_cpu_invertedl(p, platform, &stats, batch),
-                      false);
-          }
-          break;
-        }
-        default:
-          LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
-      }
-      break;
-
-    case Mode::kGpu:
-      switch (pattern) {
-        case Pattern::kAntiDiagonal:
-          result.table = solve_frontier_gpu(p, AntiDiagonalLayout(n, m),
-                                            platform, &stats, fused, batch,
-                                            K);
-          break;
-        case Pattern::kHorizontal:
-          result.table = solve_frontier_gpu(p, RowMajorLayout(n, m),
-                                            platform, &stats, fused, batch,
-                                            K);
-          break;
-        case Pattern::kKnightMove:
-          result.table = solve_frontier_gpu(p, KnightMoveLayout(n, m),
-                                            platform, &stats, fused, batch,
-                                            K);
-          break;
-        case Pattern::kInvertedL: {
-          const ShellLayout shell(n, m);
-          if (frontier_window_fronts(shell, deps) > 0) {
-            result.table = solve_frontier_gpu(p, shell, platform, &stats,
-                                              fused, batch, K);
-          } else {
-            take_full(solve_gpu_invertedl(p, platform, &stats, fused,
-                                          batch),
-                      true);
-          }
-          break;
-        }
-        default:
-          LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
-      }
-      break;
-
-    case Mode::kHeterogeneous:
-      switch (pattern) {
-        case Pattern::kAntiDiagonal:
-          result.table = solve_frontier_hetero(
-              p, AntiDiagonalLayout(n, m), Pattern::kAntiDiagonal, platform,
-              cfg.hetero, &stats, detail::kDiagonalCpuAmplification, fused,
-              batch, K);
-          break;
-        case Pattern::kHorizontal:
-          result.table = solve_frontier_hetero(
-              p, RowMajorLayout(n, m), Pattern::kHorizontal, platform,
-              cfg.hetero, &stats, /*mem_amplification=*/1.0, fused, batch,
-              K);
-          break;
-        case Pattern::kKnightMove:
-          result.table = solve_frontier_hetero(
-              p, KnightMoveLayout(n, m), Pattern::kKnightMove, platform,
-              cfg.hetero, &stats, detail::kDiagonalCpuAmplification, fused,
-              batch, K);
-          break;
-        case Pattern::kInvertedL:
-          // The L-shaped shell split has no strip decomposition over a
-          // window; run the full-table heterogeneous strategy.
-          take_full(solve_hetero_invertedl(p, platform, cfg.hetero, &stats,
-                                           fused, batch),
-                    true);
-          break;
-        default:
-          LDDP_CHECK_MSG(false, "non-canonical pattern reached dispatch");
-      }
-      break;
-
-    case Mode::kCpuTiled:
-    case Mode::kAuto:
-      LDDP_CHECK_MSG(false, "unreachable: mode was resolved above");
-  }
-  if (!cfg.trace_path.empty())
-    platform.timeline().export_chrome_trace(cfg.trace_path);
   platform.timeline().set_request_control(nullptr);
   if (cfg.record_timeline != nullptr)
     *cfg.record_timeline = platform.timeline();
@@ -382,12 +297,17 @@ FrontierSolveResult<P> solve_frontier_impl(const P& p, Holder holder,
     return out;
   }
   const Pattern pattern = classify(p.deps());
+  // The checkpoint interval counts canonical rows.
+  auto store = [&cfg](const auto& canon) {
+    return CheckpointStorage{
+        resolve_checkpoint_interval(cfg.checkpoint_interval, canon.rows())};
+  };
   FrontierSolveResult<P> out;
   if (pattern == Pattern::kVertical) {
     // Horizontal on the transposed table; the undo is a coordinate view
     // on the facade (a frontier table cannot be transposed eagerly).
     TransposedProblem<P> t(p);
-    auto inner = solve_frontier_canonical(t, Pattern::kHorizontal, cfg);
+    auto inner = solve_canonical(t, Pattern::kHorizontal, cfg, store(t));
     out.table = std::move(inner.table);
     out.stats = inner.stats;
     out.stats.pattern = Pattern::kVertical;
@@ -401,7 +321,7 @@ FrontierSolveResult<P> solve_frontier_impl(const P& p, Holder holder,
   }
   if (pattern == Pattern::kMirroredInvertedL) {
     MirroredProblem<P> mp(p);
-    auto inner = solve_frontier_canonical(mp, Pattern::kInvertedL, cfg);
+    auto inner = solve_canonical(mp, Pattern::kInvertedL, cfg, store(mp));
     out.table = std::move(inner.table);
     out.stats = inner.stats;
     out.stats.pattern = Pattern::kMirroredInvertedL;
@@ -412,7 +332,7 @@ FrontierSolveResult<P> solve_frontier_impl(const P& p, Holder holder,
     out.table.set_transform(Transform::kMirrored);
     return out;
   }
-  auto inner = solve_frontier_canonical(p, pattern, cfg);
+  auto inner = solve_canonical(p, pattern, cfg, store(p));
   out.table = std::move(inner.table);
   out.stats = inner.stats;
   if (out.table.frontier())
@@ -434,7 +354,8 @@ SolveResult<P> solve(const P& p, const RunConfig& cfg = RunConfig{}) {
   if (pattern == Pattern::kVertical) {
     // Horizontal on the transposed table (Section III symmetry).
     TransposedProblem<P> t(p);
-    auto inner = detail::solve_canonical(t, Pattern::kHorizontal, cfg);
+    auto inner = detail::solve_canonical(t, Pattern::kHorizontal, cfg,
+                                         detail::GridStorage{});
     SolveResult<P> out;
     out.table = transpose_grid(inner.table);
     out.stats = inner.stats;
@@ -444,14 +365,15 @@ SolveResult<P> solve(const P& p, const RunConfig& cfg = RunConfig{}) {
   if (pattern == Pattern::kMirroredInvertedL) {
     // Inverted-L on the mirrored table.
     MirroredProblem<P> mp(p);
-    auto inner = detail::solve_canonical(mp, Pattern::kInvertedL, cfg);
+    auto inner = detail::solve_canonical(mp, Pattern::kInvertedL, cfg,
+                                         detail::GridStorage{});
     SolveResult<P> out;
     out.table = mirror_grid(inner.table);
     out.stats = inner.stats;
     out.stats.pattern = Pattern::kMirroredInvertedL;
     return out;
   }
-  return detail::solve_canonical(p, pattern, cfg);
+  return detail::solve_canonical(p, pattern, cfg, detail::GridStorage{});
 }
 
 /// Solves the problem on the storage tier selected by cfg.storage:

@@ -24,6 +24,12 @@
 // Every cell is produced either by the scalar reference recurrence
 // (edges, remainders, retired lanes) or by a lane kernel whose exact
 // int32 ops mirror it — results are bit-identical to solo solves.
+//
+// Where each lane's rows live is a row sink (front_window.h): GridRows
+// for full tables, CheckpointRows for the frontier tier, which keeps two
+// rolling rows per lane plus its checkpoint rows. The driver reads and
+// writes lane s's row i only through rows[s].row(i) — edge cells
+// included — and calls rows[s].done(i) once the row is final.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +43,7 @@
 #include "core/lane_kernels.h"
 #include "core/problem.h"
 #include "core/strategies/common.h"
-#include "tables/frontier.h"
+#include "core/strategies/front_window.h"
 #include "tables/grid.h"
 #include "tables/lane_grid.h"
 #include "util/aligned.h"
@@ -52,24 +58,8 @@ struct LaneExecStats {
   std::size_t total_cells = 0;     ///< cells across the whole cohort
 };
 
-/// Per-solve row sweep of rows [r0, rows) — the serial reference fill of
-/// solve_cpu_serial, reused for retired lanes and non-lockstep cohorts.
-template <LddpProblem P>
-void lane_fill_rows(const P& p, Grid<typename P::Value>& g, std::size_t r0,
-                    bool batch) {
-  using V = typename P::Value;
-  const std::size_t m = p.cols();
-  const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  V* const data = g.data();
-  for (std::size_t i = r0; i < p.rows(); ++i) {
-    const V* prev = i > 0 ? data + (i - 1) * m : nullptr;
-    run_row(p, deps, bound, i, 0, m, m, prev, data + i * m, batch);
-  }
-}
-
-/// Solves `probs` as one lane cohort; returns one table per problem, in
-/// order, bit-identical to per-solve serial scans.
+/// Runs `probs` as one lane cohort, lane s writing into row sink
+/// rows[s]; every row is bit-identical to a per-solve serial scan.
 ///
 /// `poll`, when set, is the cohort's lifecycle hook: called with the row
 /// index at the start of every lockstep row (and with the lane index
@@ -77,24 +67,21 @@ void lane_fill_rows(const P& p, Grid<typename P::Value>& g, std::size_t r0,
 /// — an injected lane-kernel fault, an observed cancellation — aborts the
 /// cohort cleanly; the batch engine then degrades to per-lane solo
 /// execution, which runs poll-free as the guaranteed reference rung.
-template <LddpProblem P>
-std::vector<Grid<typename P::Value>> solve_lane_cohort(
-    const std::vector<const P*>& probs, bool batch_kernels,
-    LaneExecStats* stats_out,
-    const std::function<void(std::size_t)>& poll = {}) {
+template <LddpProblem P, typename Rows>
+void run_lane_cohort(const std::vector<const P*>& probs,
+                     std::vector<Rows>& rows, bool batch_kernels,
+                     LaneExecStats* stats_out,
+                     const std::function<void(std::size_t)>& poll = {}) {
   using V = typename P::Value;
   using Traits = lanes::LaneTraits<P>;
   const std::size_t S = probs.size();
-  LDDP_CHECK(S > 0);
+  LDDP_CHECK(S > 0 && rows.size() == S);
 
-  std::vector<Grid<V>> tables;
-  tables.reserve(S);
   std::size_t min_rows = std::numeric_limits<std::size_t>::max();
   std::size_t min_cols = min_rows;
   LaneExecStats st;
   st.lanes = S;
   for (const P* p : probs) {
-    tables.push_back(Grid<V>::uninitialized(p->rows(), p->cols()));
     min_rows = std::min(min_rows, p->rows());
     min_cols = std::min(min_cols, p->cols());
     st.total_cells += p->rows() * p->cols();
@@ -106,10 +93,10 @@ std::vector<Grid<typename P::Value>> solve_lane_cohort(
   if (!lockstep) {
     for (std::size_t s = 0; s < S; ++s) {
       if (poll) poll(s);
-      lane_fill_rows(*probs[s], tables[s], 0, batch_kernels);
+      fill_rows(*probs[s], rows[s], 0, batch_kernels);
     }
     if (stats_out) *stats_out = st;
-    return tables;
+    return;
   }
 
   if constexpr (Traits::enabled) {
@@ -127,19 +114,34 @@ std::vector<Grid<typename P::Value>> solve_lane_cohort(
     LaneGrid<V> lrows(2, min_cols, width);  // rolling: row(i & 1)
     auto state = Traits::make(lp.data(), width, min_rows, min_cols);
     const lanes::ScatterFn scatter = lanes::lane_scatter(width);
-    std::vector<V*> grows(S);  // per-lane table row bases, set per row
+    std::vector<V*> grows(S);  // per-lane sink row bases, set per row
+
+    // Scalar edge cell (i, j) of lane s, mirrored into the lane row.
+    const auto edge = [&](std::size_t s, std::size_t i, std::size_t j,
+                          V* row) {
+      const P& p = *probs[s];
+      Rows& r = rows[s];
+      const auto read = [&r](std::size_t ii, std::size_t jj) {
+        return r.row(ii)[jj];
+      };
+      const V v = compute_cell(p, deps, bound, i, j, p.cols(), read);
+      r.row(i)[j] = v;
+      row[j * width + s] = v;
+    };
 
     // Row 0 per lane (base cases live in compute), then interleave the
     // shared columns as the first lockstep predecessor row.
     for (std::size_t s = 0; s < S; ++s) {
       const P& p = *probs[s];
       run_row(p, deps, bound, 0, 0, p.cols(), p.cols(), nullptr,
-              tables[s].data(), batch_kernels);
+              rows[s].row(0), batch_kernels);
+      rows[s].done(0);
     }
     V* const row0 = lrows.row(0);
-    for (std::size_t j = 0; j < min_cols; ++j)
-      for (std::size_t s = 0; s < width; ++s)
-        row0[j * width + s] = tables[s < S ? s : 0].at(0, j);
+    for (std::size_t s = 0; s < width; ++s) {
+      const V* const r0 = rows[s < S ? s : 0].row(0);
+      for (std::size_t j = 0; j < min_cols; ++j) row0[j * width + s] = r0[j];
+    }
 
     for (std::size_t i = 1; i < min_rows; ++i) {
       if (poll) poll(i);
@@ -147,28 +149,19 @@ std::vector<Grid<typename P::Value>> solve_lane_cohort(
       V* const row = lrows.row(i & 1);
 
       // Column 0 (edge: no W/NW) per lane, mirrored into the lane row.
-      for (std::size_t s = 0; s < S; ++s) {
-        const P& p = *probs[s];
-        const auto read = [&t = tables[s]](std::size_t ii, std::size_t jj) {
-          return t.at(ii, jj);
-        };
-        const V v = compute_cell(p, deps, bound, i, 0, p.cols(), read);
-        tables[s].at(i, 0) = v;
-        row[s] = v;
-      }
+      for (std::size_t s = 0; s < S; ++s) edge(s, i, 0, row);
       for (std::size_t s = S; s < width; ++s) row[s] = row[0];
 
       // Shared interior in lockstep, in column blocks: the kernel fills a
       // block of the lane row, and the transpose scatter
-      // (lanes::lane_scatter) de-interleaves it into the per-lane table
-      // rows while it is still L1-resident (at width 8 a full 4K-column
-      // row is ~32 KB per stream — prev, row, staged inputs, outputs —
-      // which thrashes L1 if the kernel and the scatter each stream the
-      // whole row). The W carry re-seeds from row[(j0-1)·width] at each
-      // block boundary, so blocking does not change any computed value.
+      // (lanes::lane_scatter) de-interleaves it into the per-lane rows
+      // while it is still L1-resident (at width 8 a full 4K-column row is
+      // ~32 KB per stream — prev, row, staged inputs, outputs — which
+      // thrashes L1 if the kernel and the scatter each stream the whole
+      // row). The W carry re-seeds from row[(j0-1)·width] at each block
+      // boundary, so blocking does not change any computed value.
       Traits::fill_row(state, lp.data(), width, i);
-      for (std::size_t s = 0; s < S; ++s)
-        grows[s] = tables[s].data() + i * probs[s]->cols();
+      for (std::size_t s = 0; s < S; ++s) grows[s] = rows[s].row(i);
       constexpr std::size_t kColBlock = 256;
       for (std::size_t jb = 1; jb < jK; jb += kColBlock) {
         const std::size_t je = std::min(jK, jb + kColBlock);
@@ -193,238 +186,51 @@ std::vector<Grid<typename P::Value>> solve_lane_cohort(
       }
 
       // NE edge column: reads prev-row column min_cols from the lane's
-      // own table (final — last row's remainder wrote it).
+      // own sink (final — last row's remainder wrote it).
       if (jK < min_cols) {
         const std::size_t j = min_cols - 1;
-        for (std::size_t s = 0; s < S; ++s) {
-          const P& p = *probs[s];
-          const auto read = [&t = tables[s]](std::size_t ii,
-                                             std::size_t jj) {
-            return t.at(ii, jj);
-          };
-          const V v = compute_cell(p, deps, bound, i, j, p.cols(), read);
-          tables[s].at(i, j) = v;
-          row[j * width + s] = v;
-        }
+        for (std::size_t s = 0; s < S; ++s) edge(s, i, j, row);
         for (std::size_t s = S; s < width; ++s)
           row[j * width + s] = row[j * width];
       }
 
       // Per-lane column remainder — before the next row, whose NE edge
-      // reads this remainder's first column.
+      // reads this remainder's first column — and the row is final.
       for (std::size_t s = 0; s < S; ++s) {
         const P& p = *probs[s];
         const std::size_t pc = p.cols();
-        if (pc <= min_cols) continue;
-        V* const grow = tables[s].data() + i * pc;
-        run_row(p, deps, bound, i, min_cols, pc, pc,
-                tables[s].data() + (i - 1) * pc, grow, batch_kernels);
+        if (pc > min_cols)
+          run_row(p, deps, bound, i, min_cols, pc, pc, rows[s].row(i - 1),
+                  grows[s], batch_kernels);
+        rows[s].done(i);
       }
     }
 
     // Lanes taller than min_rows retire from lockstep and finish solo.
     for (std::size_t s = 0; s < S; ++s)
-      lane_fill_rows(*probs[s], tables[s], min_rows, batch_kernels);
+      fill_rows(*probs[s], rows[s], min_rows, batch_kernels);
 
     st.width = width;
     st.lockstep_cells = S * (min_rows - 1) * (jK - 1);
   }
 
   if (stats_out) *stats_out = st;
-  return tables;
 }
 
-/// Copies a finished canonical row into the frontier table's resident
-/// storage (checkpoint row and/or last row); all other rows are dropped.
-template <typename V>
-void harvest_lane_row(FrontierTable<V>& t, std::size_t i, std::size_t k,
-                      const V* row, std::size_t cols) {
-  if (i % k == 0) std::copy(row, row + cols, t.checkpoint_row(i));
-  if (i + 1 == t.rows()) std::copy(row, row + cols, t.last_row());
-}
-
-/// Frontier analogue of lane_fill_rows: rows [r0, rows) through a
-/// two-row rolling buffer `rb` (2 x cols; row r0 - 1, when r0 > 0, must
-/// already sit at rb[(r0 - 1) & 1]), harvesting checkpoints as it goes.
+/// Full-table cohort: one row-major grid per problem, in order.
 template <LddpProblem P>
-void lane_fill_rows_frontier(const P& p,
-                             FrontierTable<typename P::Value>& t,
-                             typename P::Value* rb, std::size_t r0,
-                             std::size_t k, bool batch) {
-  using V = typename P::Value;
-  const std::size_t m = p.cols();
-  const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  for (std::size_t i = r0; i < p.rows(); ++i) {
-    const V* prev = i > 0 ? rb + ((i - 1) & 1) * m : nullptr;
-    V* const row = rb + (i & 1) * m;
-    run_row(p, deps, bound, i, 0, m, m, prev, row, batch);
-    harvest_lane_row(t, i, k, row, m);
-  }
-}
-
-/// Frontier-tier lane cohort: the same lockstep sweep as
-/// solve_lane_cohort, but each lane rolls a two-row buffer instead of a
-/// full table and retains only its checkpoint rows (every ks[s] rows)
-/// plus the last row. Returns bare checkpointed tables — the caller
-/// attaches the remat callback (and problem ownership) afterwards.
-///
-/// Every value is produced by the identical kernels and scalar edges as
-/// the full-table driver, so checkpoints are bit-identical to full-tier
-/// rows; transient memory per lane is 2 x cols values. Because no lane
-/// keeps a full table, there is no kLaneMaxCells-style cell cap here.
-template <LddpProblem P>
-std::vector<FrontierTable<typename P::Value>> solve_lane_cohort_frontier(
-    const std::vector<const P*>& probs, const std::vector<std::size_t>& ks,
-    bool batch_kernels, LaneExecStats* stats_out,
+std::vector<Grid<typename P::Value>> solve_lane_cohort(
+    const std::vector<const P*>& probs, bool batch_kernels,
+    LaneExecStats* stats_out,
     const std::function<void(std::size_t)>& poll = {}) {
   using V = typename P::Value;
-  using Traits = lanes::LaneTraits<P>;
-  const std::size_t S = probs.size();
-  LDDP_CHECK(S > 0 && ks.size() == S);
-
-  std::vector<FrontierTable<V>> tables;
-  tables.reserve(S);
-  std::vector<AlignedBuf<V>> rbufs(S);
-  std::size_t min_rows = std::numeric_limits<std::size_t>::max();
-  std::size_t min_cols = min_rows;
-  LaneExecStats st;
-  st.lanes = S;
-  for (std::size_t s = 0; s < S; ++s) {
-    const P* p = probs[s];
-    tables.push_back(
-        FrontierTable<V>::checkpointed(p->rows(), p->cols(), ks[s]));
-    rbufs[s].ensure(2 * p->cols());
-    min_rows = std::min(min_rows, p->rows());
-    min_cols = std::min(min_cols, p->cols());
-    st.total_cells += p->rows() * p->cols();
-  }
-
-  bool lockstep = false;
-  if constexpr (Traits::enabled)
-    lockstep = batch_kernels && S >= 2 && min_rows >= 2 && min_cols >= 4;
-  if (!lockstep) {
-    for (std::size_t s = 0; s < S; ++s) {
-      if (poll) poll(s);
-      lane_fill_rows_frontier(*probs[s], tables[s], rbufs[s].data(), 0,
-                              ks[s], batch_kernels);
-    }
-    if (stats_out) *stats_out = st;
-    return tables;
-  }
-
-  if constexpr (Traits::enabled) {
-    const ContributingSet deps = probs[0]->deps();
-    const V bound = probs[0]->boundary();
-    const std::size_t jK = deps.has_ne() ? min_cols - 1 : min_cols;
-    const std::size_t width = (S + 3) / 4 * 4;
-
-    std::vector<const P*> lp(width, probs[0]);
-    std::copy(probs.begin(), probs.end(), lp.begin());
-
-    LaneGrid<V> lrows(2, min_cols, width);  // rolling: row(i & 1)
-    auto state = Traits::make(lp.data(), width, min_rows, min_cols);
-    const lanes::ScatterFn scatter = lanes::lane_scatter(width);
-    std::vector<V*> grows(S);  // per-lane rolling-row bases, set per row
-
-    // Row 0 per lane into the rolling buffers, then interleave the shared
-    // columns as the first lockstep predecessor row.
-    for (std::size_t s = 0; s < S; ++s) {
-      const P& p = *probs[s];
-      run_row(p, deps, bound, 0, 0, p.cols(), p.cols(), nullptr,
-              rbufs[s].data(), batch_kernels);
-      harvest_lane_row(tables[s], 0, ks[s], rbufs[s].data(), p.cols());
-    }
-    V* const row0 = lrows.row(0);
-    for (std::size_t j = 0; j < min_cols; ++j)
-      for (std::size_t s = 0; s < width; ++s)
-        row0[j * width + s] = rbufs[s < S ? s : 0].data()[j];
-
-    for (std::size_t i = 1; i < min_rows; ++i) {
-      if (poll) poll(i);
-      const V* const prev = lrows.row((i - 1) & 1);
-      V* const row = lrows.row(i & 1);
-
-      // Column 0 (edge: no W/NW) per lane, mirrored into the lane row.
-      for (std::size_t s = 0; s < S; ++s) {
-        const P& p = *probs[s];
-        const std::size_t pc = p.cols();
-        const V* const rb = rbufs[s].data();
-        const auto read = [rb, pc](std::size_t ii, std::size_t jj) {
-          return rb[(ii & 1) * pc + jj];
-        };
-        const V v = compute_cell(p, deps, bound, i, 0, pc, read);
-        rbufs[s].data()[(i & 1) * pc] = v;
-        row[s] = v;
-      }
-      for (std::size_t s = S; s < width; ++s) row[s] = row[0];
-
-      // Shared interior in lockstep (identical blocking and scatter to
-      // the full-table driver), de-interleaved into the rolling rows.
-      Traits::fill_row(state, lp.data(), width, i);
-      for (std::size_t s = 0; s < S; ++s)
-        grows[s] = rbufs[s].data() + (i & 1) * probs[s]->cols();
-      constexpr std::size_t kColBlock = 256;
-      for (std::size_t jb = 1; jb < jK; jb += kColBlock) {
-        const std::size_t je = std::min(jK, jb + kColBlock);
-        lanes::RowCtx<V> ctx;
-        ctx.width = width;
-        ctx.i = i;
-        ctx.j0 = jb;
-        ctx.j1 = je;
-        ctx.prev = prev;
-        ctx.row = row;
-        Traits::run(state, ctx);
-        if constexpr (std::is_same_v<V, std::int32_t>) {
-          scatter(row, width, jb, je, grows.data(), S);
-        } else {
-          for (std::size_t s = 0; s < S; ++s)
-            for (std::size_t j = jb; j < je; ++j)
-              grows[s][j] = row[j * width + s];
-        }
-      }
-
-      // NE edge column: reads prev-row column min_cols from the lane's
-      // rolling buffer (final — last row's remainder wrote it).
-      if (jK < min_cols) {
-        const std::size_t j = min_cols - 1;
-        for (std::size_t s = 0; s < S; ++s) {
-          const P& p = *probs[s];
-          const std::size_t pc = p.cols();
-          const V* const rb = rbufs[s].data();
-          const auto read = [rb, pc](std::size_t ii, std::size_t jj) {
-            return rb[(ii & 1) * pc + jj];
-          };
-          const V v = compute_cell(p, deps, bound, i, j, pc, read);
-          rbufs[s].data()[(i & 1) * pc + j] = v;
-          row[j * width + s] = v;
-        }
-        for (std::size_t s = S; s < width; ++s)
-          row[j * width + s] = row[j * width];
-      }
-
-      // Per-lane column remainder, then harvest the finished row.
-      for (std::size_t s = 0; s < S; ++s) {
-        const P& p = *probs[s];
-        const std::size_t pc = p.cols();
-        V* const grow = rbufs[s].data() + (i & 1) * pc;
-        if (pc > min_cols)
-          run_row(p, deps, bound, i, min_cols, pc, pc,
-                  rbufs[s].data() + ((i - 1) & 1) * pc, grow, batch_kernels);
-        harvest_lane_row(tables[s], i, ks[s], grow, pc);
-      }
-    }
-
-    // Lanes taller than min_rows retire from lockstep and finish solo.
-    for (std::size_t s = 0; s < S; ++s)
-      lane_fill_rows_frontier(*probs[s], tables[s], rbufs[s].data(),
-                              min_rows, ks[s], batch_kernels);
-
-    st.width = width;
-    st.lockstep_cells = S * (min_rows - 1) * (jK - 1);
-  }
-
-  if (stats_out) *stats_out = st;
+  std::vector<GridRows<V>> rows;
+  rows.reserve(probs.size());
+  for (const P* p : probs) rows.emplace_back(p->rows(), p->cols());
+  run_lane_cohort(probs, rows, batch_kernels, stats_out, poll);
+  std::vector<Grid<V>> tables;
+  tables.reserve(rows.size());
+  for (GridRows<V>& r : rows) tables.push_back(r.take());
   return tables;
 }
 

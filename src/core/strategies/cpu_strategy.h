@@ -1,4 +1,7 @@
-// Pure-CPU executions.
+// Pure-CPU executions, one engine each for both storage tiers: the
+// `store` argument (front_window.h) decides whether finished cells land in
+// a row-major grid (GridStorage, the default) or in a checkpointed
+// frontier table (CheckpointStorage). Pricing never depends on it.
 //
 // * solve_cpu_serial — single-threaded row-major scan. A row-major sweep
 //   (i ascending, j ascending) respects every LDDP-Plus dependency (all
@@ -20,21 +23,15 @@ namespace lddp {
 /// sweep with the W-carry scalar loop; W-free problems with the batch
 /// hook vectorize each row's interior (a W dependency is sequential
 /// within the row, so those problems stay scalar here).
-template <LddpProblem P>
-Grid<typename P::Value> solve_cpu_serial(const P& p, sim::Platform* platform,
-                                         SolveStats* stats,
-                                         bool batch = true) {
+template <LddpProblem P, typename Store = detail::GridStorage>
+auto solve_cpu_serial(const P& p, sim::Platform* platform, SolveStats* stats,
+                      bool batch = true, const Store& store = {}) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
   const ContributingSet deps = p.deps();
-  const V bound = p.boundary();
-  Grid<V> table(n, m);
-  V* const data = table.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const V* prev = i > 0 ? data + (i - 1) * m : nullptr;
-    detail::run_row(p, deps, bound, i, 0, m, m, prev, data + i * m, batch);
-  }
+  auto rows = store.template rows<V>(n, m);
+  detail::fill_rows(p, rows, 0, batch);
   if (platform) {
     const bool use_batch =
         batch && has_batch_front_v<P> && !deps.has_w();
@@ -49,21 +46,22 @@ Grid<typename P::Value> solve_cpu_serial(const P& p, sim::Platform* platform,
     stats->cells = n * m;
     if (platform) detail::finish_stats(*stats, *platform, wall.seconds());
     else stats->real_seconds = wall.seconds();
+    rows.finish(*stats);
   }
-  return table;
+  return rows.take();
 }
 
 /// Multicore wavefront execution over the pattern's layout — the paper's
 /// OpenMP-style baseline: one fork/join parallel region per front.
 /// `mem_amplification` prices cache-hostile walk orders (diagonal fronts).
-/// Fronts are computed into a rolling window and drained into the grid
-/// (front_window.h); the pricing is unaffected by where cells live.
-template <LddpProblem P, typename Layout>
-Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
-                                           sim::Platform& platform,
-                                           SolveStats* stats,
-                                           double mem_amplification = 1.0,
-                                           bool batch = true) {
+/// Fronts are computed into the storage sink's rolling window; the
+/// pricing is unaffected by where cells live.
+template <LddpProblem P, typename Layout,
+          typename Store = detail::GridStorage>
+auto solve_cpu_parallel(const P& p, const Layout& layout,
+                        sim::Platform& platform, SolveStats* stats,
+                        double mem_amplification = 1.0, bool batch = true,
+                        const Store& store = {}) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
@@ -71,11 +69,11 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
   const V bound = p.boundary();
   const cpu::WorkProfile work = detail::cpu_work_for(
       p, detail::priced_as_vector(p, layout, deps, batch));
+  using Front = typename Store::template Front<V, Layout>;
   AlignedBuf<V> ring;
-  detail::GridDrain<V, Layout> out(
-      layout, deps,
-      ring.ensure(detail::GridDrain<V, Layout>::ring_size(layout, deps)),
-      platform.pool());
+  Front out = store.front(layout, deps,
+                          ring.ensure(Front::ring_size(layout, deps)),
+                          platform.pool());
   auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
   // The simulated pricing below is the paper's fork/join-per-front OpenMP
   // baseline, whatever executor runs the fronts for real.
@@ -101,8 +99,8 @@ Grid<typename P::Value> solve_cpu_parallel(const P& p, const Layout& layout,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = layout.num_fronts();
     stats->cells = n * m;
-    stats->peak_table_bytes = out.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
+    out.finish(*stats);
   }
   return out.take();
 }

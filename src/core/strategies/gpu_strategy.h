@@ -6,6 +6,11 @@
 // problem inputs, one kernel launch per front (launch overhead dominates
 // low-work fronts — the effect the heterogeneous strategies exploit), and
 // one download of the result.
+//
+// One engine serves both storage tiers (front_window.h): with GridStorage
+// the host drains every front of the device window into the result grid
+// (host work, never priced); with CheckpointStorage only each front's
+// checkpoint halo comes down, priced as a pinned copy.
 #pragma once
 
 #include "core/front_runner.h"
@@ -16,10 +21,11 @@
 
 namespace lddp {
 
-template <LddpProblem P, typename Layout>
-Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
-                                  sim::Platform& platform, SolveStats* stats,
-                                  bool fused = true, bool batch = true) {
+template <LddpProblem P, typename Layout,
+          typename Store = detail::GridStorage>
+auto solve_gpu(const P& p, const Layout& layout, sim::Platform& platform,
+               SolveStats* stats, bool fused = true, bool batch = true,
+               const Store& store = {}) {
   using V = typename P::Value;
   Stopwatch wall;
   const std::size_t n = p.rows(), m = p.cols();
@@ -28,15 +34,13 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
   sim::Device& gpu = platform.gpu();
   const auto stream = gpu.default_stream();
 
-  // Kernels compute into a device-resident front window, which the host
-  // drains into the result grid as fronts retire (front_window.h). Every
-  // cell of a front is written before any read, so the window skips its
-  // zero-fill.
+  // Kernels compute into a device-resident front window, which the
+  // storage sink empties as fronts retire. Every cell of a front is
+  // written before any read, so the window skips its zero-fill.
+  using Front = typename Store::template Front<V, Layout>;
   sim::DeviceBuffer<V> ring = gpu.template alloc<V>(
-      detail::GridDrain<V, Layout>::ring_size(layout, deps),
-      /*zeroed=*/false);
-  detail::GridDrain<V, Layout> out(layout, deps, ring.device_ptr(),
-                                   platform.pool());
+      Front::ring_size(layout, deps), /*zeroed=*/false);
+  Front out = store.front(layout, deps, ring.device_ptr(), platform.pool());
   auto addr = [&out](std::size_t i, std::size_t j) { return out.addr(i, j); };
   const sim::KernelInfo info = detail::kernel_info_for(p, "gpu.front");
 
@@ -56,13 +60,15 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
                    detail::run_front_range(p, deps, bound, layout, f, lo, hi,
                                            addr, batch);
                  });
-    // Kernels execute eagerly at record time, so the front is final here.
-    out.retire(f);
+    // Kernels execute eagerly at record time, so the front is final here;
+    // harvested checkpoint cells come down as a pinned halo copy.
+    if (const std::size_t cells = out.retire(f); cells > 0)
+      graph.record_d2h(stream, cells * sizeof(V), sim::MemoryKind::kPinned);
   }
   graph.replay();
 
   // The priced download is what a production consumer would fetch
-  // (result_bytes_of); the drained grid is the caller's full table.
+  // (result_bytes_of), whatever the sink kept on the host.
   const sim::OpId done = gpu.record_d2h(stream, result_bytes_of(p),
                                         sim::MemoryKind::kPageable);
   platform.cpu_sync(done);
@@ -73,8 +79,8 @@ Grid<typename P::Value> solve_gpu(const P& p, const Layout& layout,
     stats->transfer = TransferNeed::kNone;
     stats->fronts = layout.num_fronts();
     stats->cells = n * m;
-    stats->peak_table_bytes = out.peak_bytes();
     detail::finish_stats(*stats, platform, wall.seconds());
+    out.finish(*stats);
   }
   return out.take();
 }

@@ -488,7 +488,8 @@ TEST(BatchLifecycle, ExecutorMorselFaultsRetryCleanly) {
 }
 
 /// Lane-cohort injection: a kLaneKernel fault degrades the cohort to
-/// per-lane solo execution ("lane->solo") with bit-identical results.
+/// per-lane solo execution ("lane->solo") with bit-identical results, on
+/// both storage tiers.
 TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   BatchConfig bc;
   bc.worker_threads = 0;
@@ -525,6 +526,42 @@ TEST(BatchLifecycle, LaneCohortFaultDegradesToSolo) {
   // results above are bit-identical.
   if (rep.lane_cohorts > 0 || rep.lane_packed_solves > 0)
     EXPECT_TRUE(any_lane_degrade);
+
+  // The same fault on frontier-tier cohorts (submit_frontier) degrades
+  // with the same label, and every checkpoint row, the last row and the
+  // rematerialized interior stay bit-identical.
+  for (std::size_t k : {1u, 5u}) {
+    BatchEngine fengine(bc);
+    std::vector<std::future<FrontierSolveResult<Problem>>> ffutures;
+    for (std::size_t s = 0; s < 6; ++s) {
+      RunConfig rc;
+      rc.mode = Mode::kCpuSerial;
+      rc.storage = Storage::kFrontier;
+      rc.checkpoint_interval = k;
+      auto f = fengine.submit_frontier(
+          make_deps_problem(ContributingSet(0b0110), 48, 48, s), rc);
+      ASSERT_TRUE(f.has_value());
+      ffutures.push_back(std::move(*f));
+    }
+    const BatchReport frep = fengine.wait();
+    ASSERT_EQ(frep.solves, 6u);
+    EXPECT_EQ(frep.failed_solves, 0u);
+    bool any_frontier_degrade = false;
+    for (std::size_t s = 0; s < 6; ++s) {
+      FrontierSolveResult<Problem> got;
+      ASSERT_NO_THROW(got = ffutures[s].get()) << s;
+      EXPECT_TRUE(got.table.frontier()) << s;
+      EXPECT_EQ(got.stats.checkpoint_interval, k) << s;
+      for (std::size_t i = 0; i < 48; ++i)
+        for (std::size_t j = 0; j < 48; ++j)
+          ASSERT_EQ(got.table.at(i, j), expected[s].at(i, j))
+              << "K=" << k << " lane " << s << " (" << i << ", " << j << ")";
+      EXPECT_EQ(frep.items[s].degraded, rep.items[s].degraded) << s;
+      if (frep.items[s].degraded == "lane->solo") any_frontier_degrade = true;
+    }
+    if (frep.lane_cohorts > 0 || frep.lane_packed_solves > 0)
+      EXPECT_TRUE(any_frontier_degrade) << "K=" << k;
+  }
 }
 
 /// Per-request deadlines in simulated time: an impossible budget times

@@ -6,6 +6,16 @@
 // captured from those engines; any drift in sim_seconds or in the op
 // count of the recorded timeline is a pricing change, not a storage one.
 //
+// The frontier tier is pinned the same way through solve_frontier: both
+// tiers run the same serial, cpu-parallel and gpu engines over a storage
+// sink, so the op sequence of a frontier solve — including the pinned
+// halo download the gpu engine records for every front that harvests
+// checkpoint cells — must not move when the storage changes. Its pins
+// also carry the table-storage figures (peak_table_bytes and the number
+// of checkpoint rows) and the checkpoint interval K they were taken at.
+// The frontier constants were captured at commit 4db5d03, where each tier
+// still had its own copy of these engines.
+//
 // batch_kernels is off so the CPU pricing does not pick up the host's
 // calibrated vector speedup (a per-machine measurement); the hook-less
 // NW and SW pins hold with it on as well.
@@ -13,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ios>
 #include <string>
 
 #include "core/framework.h"
@@ -29,10 +40,17 @@ namespace {
 
 constexpr std::size_t kRows = 257, kCols = 263;
 
+enum class Tier { kFull, kFrontier };
+
 struct Pinned {
   Mode mode;
   double sim_seconds;
   std::size_t ops;
+  // Frontier tier only: the requested checkpoint interval (0 asks the
+  // model) and the storage figures the solve reports.
+  std::size_t k = 0;
+  std::size_t peak_table_bytes = 0;
+  std::size_t checkpoint_rows = 0;
 };
 
 template <typename V>
@@ -43,8 +61,9 @@ bool same_value(const problems::FsCell& a, const problems::FsCell& b) {
   return a.err == b.err && a.out == b.out;
 }
 
-template <typename V>
-bool same_table(const Grid<V>& a, const Grid<V>& b) {
+/// `a` is a Grid or a FrontierTable (read through remat).
+template <typename Table, typename V>
+bool same_table(const Table& a, const Grid<V>& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (std::size_t j = 0; j < a.cols(); ++j)
@@ -52,9 +71,13 @@ bool same_table(const Grid<V>& a, const Grid<V>& b) {
   return true;
 }
 
-template <LddpProblem P>
+/// Solves `p` once per pin on the given tier and checks the recorded
+/// schedule (and, on the frontier tier, the storage figures) against it;
+/// every cell must match the serial full-table reference.
+template <LddpProblem P, std::size_t N>
 void expect_pinned(const std::string& name, const P& p,
-                   const Pinned (&pins)[3], bool batch_kernels = false) {
+                   const Pinned (&pins)[N], bool batch_kernels = false,
+                   Tier tier = Tier::kFull) {
   const Grid<typename P::Value> ref = [&] {
     RunConfig cfg;
     cfg.mode = Mode::kCpuSerial;
@@ -66,12 +89,26 @@ void expect_pinned(const std::string& name, const P& p,
     cfg.batch_kernels = batch_kernels;
     sim::Timeline recorded;
     cfg.record_timeline = &recorded;
-    const auto r = solve(p, cfg);
-    const std::string what = name + " " + to_string(pin.mode) +
-                             (batch_kernels ? " batch" : " scalar");
-    EXPECT_EQ(r.stats.sim_seconds, pin.sim_seconds) << what;
+    std::string what = name + " " + to_string(pin.mode) +
+                       (batch_kernels ? " batch" : " scalar");
+    SolveStats stats;
+    if (tier == Tier::kFull) {
+      const auto r = solve(p, cfg);
+      stats = r.stats;
+      EXPECT_TRUE(same_table(r.table, ref)) << what;
+    } else {
+      cfg.storage = Storage::kFrontier;
+      cfg.checkpoint_interval = pin.k;
+      what += " frontier K=" + std::to_string(pin.k);
+      const auto r = solve_frontier(p, cfg);
+      stats = r.stats;
+      EXPECT_EQ(stats.peak_table_bytes, pin.peak_table_bytes) << what;
+      EXPECT_EQ(stats.checkpoint_rows, pin.checkpoint_rows) << what;
+      EXPECT_TRUE(same_table(r.table, ref)) << what;
+    }
+    EXPECT_EQ(stats.sim_seconds, pin.sim_seconds)
+        << what << ": " << std::hexfloat << stats.sim_seconds;
     EXPECT_EQ(recorded.op_count(), pin.ops) << what;
-    EXPECT_TRUE(same_table(r.table, ref)) << what;
   }
 }
 
@@ -191,6 +228,117 @@ TEST(FullTierSchedule, PeakTableBytes) {
       EXPECT_EQ(peak(p, mode), 2 * kRows * kCols * sizeof(V))
           << to_string(mode);
   }
+}
+
+
+// --- Frontier tier ------------------------------------------------------
+//
+// Serial, cpu-parallel, gpu and hetero at the model's default checkpoint
+// interval and at K = 1 (every row is a checkpoint, so every front
+// harvests and the gpu engine prices a halo download for each).
+
+constexpr Pinned kLevFrontierPins[] = {
+    {Mode::kCpuSerial, 0x1.2a05bff9fc29fp-12, 1, 0, 21040, 17},
+    {Mode::kCpuParallel, 0x1.452e3a6c890f5p-12, 519, 0, 22200, 17},
+    {Mode::kGpu, 0x1.3d9a2ce0a5201p-10, 1041, 0, 22200, 17},
+    {Mode::kHeterogeneous, 0x1.417fe1fa860b6p-12, 537, 0, 22200, 17},
+    {Mode::kCpuSerial, 0x1.2a05bff9fc29fp-12, 1, 1, 273520, 257},
+    {Mode::kCpuParallel, 0x1.452e3a6c890f5p-12, 519, 1, 274680, 257},
+    {Mode::kGpu, 0x1.48a21dc5d50fep-10, 1041, 1, 274680, 257},
+    {Mode::kHeterogeneous, 0x1.417fe1fa860b6p-12, 537, 1, 274680, 257},
+};
+constexpr Pinned kDitherFrontierPins[] = {
+    {Mode::kCpuSerial, 0x1.7f28211ec0642p-12, 1, 0, 84160, 17},
+    {Mode::kCpuParallel, 0x1.a7bc94deaba15p-12, 775, 0, 84960, 17},
+    {Mode::kGpu, 0x1.e4e9191dd024p-10, 1553, 0, 84960, 17},
+    {Mode::kHeterogeneous, 0x1.a702da6bc9201p-12, 781, 0, 84960, 17},
+    {Mode::kCpuSerial, 0x1.7f28211ec0642p-12, 1, 1, 1094080, 257},
+    {Mode::kCpuParallel, 0x1.a7bc94deaba15p-12, 775, 1, 1094880, 257},
+    {Mode::kGpu, 0x1.08846e5947f36p-9, 1553, 1, 1094880, 257},
+    {Mode::kHeterogeneous, 0x1.a702da6bc9201p-12, 781, 1, 1094880, 257},
+};
+constexpr Pinned kCheckerboardFrontierPins[] = {
+    {Mode::kCpuSerial, 0x1.fee91ecf3419cp-13, 1, 0, 21040, 17},
+    {Mode::kCpuParallel, 0x1.0ce088b4f865ep-12, 257, 0, 21112, 17},
+    {Mode::kGpu, 0x1.37cf0865d0aep-11, 277, 0, 21112, 17},
+    {Mode::kHeterogeneous, 0x1.e0eacf303340ap-9, 1048, 0, 21112, 17},
+    {Mode::kCpuSerial, 0x1.fee91ecf3419cp-13, 1, 1, 273520, 257},
+    {Mode::kCpuParallel, 0x1.0ce088b4f865ep-12, 257, 1, 273592, 257},
+    {Mode::kGpu, 0x1.8033d11252551p-11, 517, 1, 273592, 257},
+    {Mode::kHeterogeneous, 0x1.e0eacf303340ap-9, 1288, 1, 273592, 257},
+};
+// Inverted-L: cpu-parallel and gpu run a ShellLayout front window; the
+// hetero split has no window and falls back to the full-table engine.
+constexpr Pinned kMaxNwFrontierPins[] = {
+    {Mode::kCpuSerial, 0x1.a9c6bdaa6fdf9p-13, 1, 0, 42080, 17},
+    {Mode::kCpuParallel, 0x1.c49eb0452c8ecp-13, 257, 0, 46320, 17},
+    {Mode::kGpu, 0x1.6bdec7ad0d2cap-11, 517, 0, 46320, 17},
+    {Mode::kHeterogeneous, 0x1.7eb10628aa491p-12, 479, 0, 1081456, 0},
+    {Mode::kCpuSerial, 0x1.a9c6bdaa6fdf9p-13, 1, 1, 547040, 257},
+    {Mode::kCpuParallel, 0x1.c49eb0452c8ecp-13, 257, 1, 551280, 257},
+    {Mode::kGpu, 0x1.97fe8b41ccee8p-11, 517, 1, 551280, 257},
+    {Mode::kHeterogeneous, 0x1.7eb10628aa491p-12, 479, 1, 1081456, 0},
+};
+constexpr Pinned kColumnMinFrontierPins[] = {
+    {Mode::kCpuSerial, 0x1.a9c6bdaa6fdf9p-13, 1, 0, 41120, 17},
+    {Mode::kCpuParallel, 0x1.c53fbff4ccf8p-13, 263, 0, 41360, 17},
+    {Mode::kGpu, 0x1.95685263ececap-11, 284, 0, 41360, 17},
+    {Mode::kHeterogeneous, 0x1.79373b32b52b8p-11, 810, 0, 41360, 17},
+    {Mode::kCpuSerial, 0x1.a9c6bdaa6fdf9p-13, 1, 1, 546896, 263},
+    {Mode::kCpuParallel, 0x1.c53fbff4ccf8p-13, 263, 1, 547136, 263},
+    {Mode::kGpu, 0x1.f4cdaf51a0528p-11, 529, 1, 547136, 263},
+    {Mode::kHeterogeneous, 0x1.79373b32b52b8p-11, 1055, 1, 547136, 263},
+};
+
+TEST(FrontierTierSchedule, LevenshteinAntiDiagonal) {
+  const problems::LevenshteinProblem p(
+      problems::random_sequence(kRows - 1, 1),
+      problems::random_sequence(kCols - 1, 2));
+  expect_pinned("lev", p, kLevFrontierPins, false, Tier::kFrontier);
+}
+
+TEST(FrontierTierSchedule, DitherKnightMove) {
+  const problems::FloydSteinbergProblem p(
+      problems::noise_image(kRows, kCols, 3));
+  expect_pinned("dither", p, kDitherFrontierPins, false, Tier::kFrontier);
+}
+
+TEST(FrontierTierSchedule, CheckerboardHorizontal) {
+  const problems::CheckerboardProblem p(
+      problems::random_cost_board(kRows, kCols, 4));
+  expect_pinned("checkerboard", p, kCheckerboardFrontierPins, false,
+                Tier::kFrontier);
+}
+
+TEST(FrontierTierSchedule, MaxNwInvertedLShell) {
+  const problems::MaxNwProblem p(problems::random_input_grid(kRows, kCols, 5),
+                                 3);
+  expect_pinned("maxnw", p, kMaxNwFrontierPins, false, Tier::kFrontier);
+}
+
+TEST(FrontierTierSchedule, ColumnMinVertical) {
+  const problems::ColumnMinPathProblem p(
+      problems::random_cost_board(kRows, kCols, 6));
+  expect_pinned("columnmin", p, kColumnMinFrontierPins, false,
+                Tier::kFrontier);
+}
+
+// Mirrored Inverted-L ({NE}): the symmetry adapter maps it onto the
+// canonical shell window, and the table serves reads through a mirrored
+// coordinate view.
+TEST(FrontierTierSchedule, MirroredInvertedLShell) {
+  const auto p = problems::make_function_problem<std::int64_t>(
+      kRows, kCols, ContributingSet{Dep::kNE}, 0,
+      [](std::size_t i, std::size_t j, const Neighbors<std::int64_t>& nb) {
+        return nb.ne * 3 + static_cast<std::int64_t>((i * 7 + j * 13) % 29);
+      });
+  constexpr Pinned pins[] = {
+      {Mode::kCpuParallel, 0x1.0ce088b4f8649p-12, 257, 0, 46320, 17},
+      {Mode::kGpu, 0x1.9647c62610eaap-11, 516, 0, 46320, 17},
+      {Mode::kCpuParallel, 0x1.0ce088b4f8649p-12, 257, 1, 551280, 257},
+      {Mode::kGpu, 0x1.c26789bad0acp-11, 516, 1, 551280, 257},
+  };
+  expect_pinned("mirrored-shell", p, pins, false, Tier::kFrontier);
 }
 
 }  // namespace

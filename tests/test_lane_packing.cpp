@@ -3,7 +3,9 @@
 // lane-packed tables are bit-identical to solo serial solves across every
 // contributing set, ragged and degenerate shapes, cohort sizes, and ISA
 // dispatch tiers — and check cohort formation, eligibility gating, and the
-// BatchReport lane counters.
+// BatchReport lane counters. The cohort tests also run on the frontier
+// storage tier (submit_frontier), where each lane keeps only checkpoint
+// rows, at checkpoint intervals K = 1, 3 and K >= rows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,31 +43,119 @@ BatchConfig lane_config(long long lane_pack = -1, std::size_t workers = 0) {
   return bc;
 }
 
-/// Submits every problem as a serial-CPU request, drains the batch, and
-/// checks each table against the solo solver bit for bit. Returns the
-/// report for counter assertions.
+enum class Tier { kFull, kFrontier };
+
+/// Checkpoint intervals the frontier-tier cohorts run at: every row, a
+/// small band, and one band covering every table in these tests.
+constexpr std::size_t kFrontierKs[] = {1, 3, 4096};
+
+RunConfig serial_config(Tier tier, std::size_t k) {
+  RunConfig rc;
+  rc.mode = Mode::kCpuSerial;
+  if (tier == Tier::kFrontier) {
+    rc.storage = Storage::kFrontier;
+    rc.checkpoint_interval = k;
+  }
+  return rc;
+}
+
+template <typename P>
+BatchReport run_batch(const std::vector<P>& probs, long long lane_pack,
+                      std::size_t workers, Tier tier, std::size_t k,
+                      std::vector<FrontierSolveResult<P>>* frontier_out,
+                      std::vector<SolveResult<P>>* full_out) {
+  BatchEngine engine(lane_config(lane_pack, workers));
+  std::vector<std::future<SolveResult<P>>> full;
+  std::vector<std::future<FrontierSolveResult<P>>> frontier;
+  for (const P& p : probs) {
+    if (tier == Tier::kFull) {
+      auto f = engine.submit(P(p), serial_config(tier, k));
+      EXPECT_TRUE(f.has_value());
+      full.push_back(std::move(*f));
+    } else {
+      auto f = engine.submit_frontier(P(p), serial_config(tier, k));
+      EXPECT_TRUE(f.has_value());
+      frontier.push_back(std::move(*f));
+    }
+  }
+  const BatchReport rep = engine.wait();
+  for (auto& f : full) full_out->push_back(f.get());
+  for (auto& f : frontier) frontier_out->push_back(f.get());
+  return rep;
+}
+
+/// Submits every problem as a serial-CPU request on `tier`, drains the
+/// batch, and checks each result against the solo solver. Full tier:
+/// every cell, bit for bit. Frontier tier (checkpoint interval k): every
+/// checkpoint row, the last row and one rematerialized interior read
+/// against a solo solve_frontier, and each lane job's recorded schedule
+/// against a solo serial scan's — the same solo stats, and the same
+/// merged start and end as in a batch with lane packing off, where every
+/// request runs the serial engine alone. Returns the report for counter
+/// assertions.
 template <typename P>
 BatchReport expect_lane_identical(const std::vector<P>& probs,
                                   long long lane_pack = -1,
-                                  std::size_t workers = 0) {
-  BatchEngine engine(lane_config(lane_pack, workers));
-  std::vector<std::future<SolveResult<P>>> futs;
-  for (const P& p : probs) {
-    RunConfig rc;
-    rc.mode = Mode::kCpuSerial;
-    auto f = engine.submit(P(p), rc);
-    EXPECT_TRUE(f.has_value());
-    futs.push_back(std::move(*f));
+                                  std::size_t workers = 0,
+                                  Tier tier = Tier::kFull,
+                                  std::size_t k = 0) {
+  std::vector<SolveResult<P>> full;
+  std::vector<FrontierSolveResult<P>> frontier;
+  const BatchReport rep =
+      run_batch(probs, lane_pack, workers, tier, k, &frontier, &full);
+  if (tier == Tier::kFull) {
+    for (std::size_t s = 0; s < probs.size(); ++s)
+      EXPECT_EQ(full[s].table, solve(probs[s], serial_config(tier, k)).table)
+          << "lane " << s << " of " << probs.size() << " diverged";
+    return rep;
   }
-  const BatchReport rep = engine.wait();
-  for (std::size_t k = 0; k < probs.size(); ++k) {
-    RunConfig rc;
-    rc.mode = Mode::kCpuSerial;
-    const auto want = solve(probs[k], rc);
-    EXPECT_EQ(futs[k].get().table, want.table)
-        << "lane " << k << " of " << probs.size() << " diverged";
+  std::vector<SolveResult<P>> unused;
+  std::vector<FrontierSolveResult<P>> solo_batch;
+  const BatchReport off = run_batch(probs, /*lane_pack=*/0, /*workers=*/0,
+                                    tier, k, &solo_batch, &unused);
+  for (std::size_t s = 0; s < probs.size(); ++s) {
+    const std::string what = "lane " + std::to_string(s) + " of " +
+                             std::to_string(probs.size()) +
+                             " K=" + std::to_string(k);
+    const P& p = probs[s];
+    const auto want = solve_frontier(p, serial_config(tier, k));
+    const auto& got = frontier[s];
+    EXPECT_TRUE(got.table.frontier()) << what;
+    // A lane sweeps rows in user orientation (a solo solve of a Vertical
+    // set checkpoints the transposed table instead).
+    EXPECT_EQ(got.stats.checkpoint_rows, (p.rows() - 1) / k + 1) << what;
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < p.rows(); ++i) {
+      if (i % k != 0 && i + 1 != p.rows()) continue;
+      for (std::size_t j = 0; j < p.cols(); ++j)
+        mismatches += got.table.at(i, j) != want.table.at(i, j);
+    }
+    EXPECT_EQ(mismatches, 0u) << what << ": checkpoint or last-row cells";
+    if (const std::size_t i = p.rows() - 2; p.rows() > 2 && i % k != 0) {
+      const std::size_t j = p.cols() / 2;
+      EXPECT_EQ(got.table.at(i, j), want.table.at(i, j)) << what << " remat";
+      EXPECT_GT(got.table.remat_stats().bands, 0u) << what;
+    }
+    const BatchItemStats& item = rep.items[s];
+    const SolveStats& solo = want.stats;
+    EXPECT_EQ(item.solve.mode_used, Mode::kCpuSerial) << what;
+    EXPECT_EQ(item.solve.sim_seconds, solo.sim_seconds) << what;
+    EXPECT_EQ(item.solve.cpu_busy_seconds, solo.cpu_busy_seconds) << what;
+    EXPECT_EQ(item.solve.cells, solo.cells) << what;
+    EXPECT_EQ(item.sim_start, off.items[s].sim_start) << what;
+    EXPECT_EQ(item.sim_end, off.items[s].sim_end) << what;
   }
+  EXPECT_EQ(rep.sim_makespan, off.sim_makespan);
   return rep;
+}
+
+/// expect_lane_identical on the full tier and on the frontier tier at
+/// every interval of kFrontierKs.
+template <typename P>
+void expect_lane_identical_both_tiers(const std::vector<P>& probs) {
+  expect_lane_identical(probs);
+  for (std::size_t k : kFrontierKs)
+    expect_lane_identical(probs, -1, 0, Tier::kFrontier, k);
 }
 
 // Every contributing set, cohort sizes 2/3/4/8, ragged shapes. Function
@@ -97,6 +187,12 @@ TEST(LanePacking, AllContributingSetsAllCohortSizes) {
       const BatchReport rep = expect_lane_identical(probs);
       EXPECT_EQ(rep.lane_eligible_solves, cohort)
           << "set " << set << " cohort " << cohort;
+      for (std::size_t k : kFrontierKs) {
+        const BatchReport frep =
+            expect_lane_identical(probs, -1, 0, Tier::kFrontier, k);
+        EXPECT_EQ(frep.lane_eligible_solves, cohort)
+            << "frontier set " << set << " cohort " << cohort << " K=" << k;
+      }
     }
   }
 }
@@ -110,20 +206,20 @@ TEST(LanePacking, KernelFamiliesRaggedBitIdentical) {
     for (std::size_t k = 0; k < 8; ++k)
       v.emplace_back(rand_str(60 + 5 * k, 2 * k + 1),
                      rand_str(90 - 4 * k, 2 * k + 2));
-    expect_lane_identical(v);
+    expect_lane_identical_both_tiers(v);
   }
   {
     std::vector<problems::LcsProblem> v;
     for (std::size_t k = 0; k < 8; ++k)
       v.emplace_back(rand_str(45 + k, 30 + k), rand_str(70 - 3 * k, 40 + k));
-    expect_lane_identical(v);
+    expect_lane_identical_both_tiers(v);
   }
   {
     std::vector<problems::CheckerboardProblem> v;
     v.emplace_back(problems::random_cost_board(24, 31, 1));
     v.emplace_back(problems::random_cost_board(31, 24, 2));
     v.emplace_back(problems::random_cost_board(27, 27, 3));
-    expect_lane_identical(v);
+    expect_lane_identical_both_tiers(v);
   }
   {
     std::vector<problems::SeamCarveProblem> v;
@@ -131,26 +227,26 @@ TEST(LanePacking, KernelFamiliesRaggedBitIdentical) {
     v.emplace_back(problems::random_input_grid(26, 20, 5, 0, 255));
     v.emplace_back(problems::random_input_grid(23, 23, 6, 0, 255));
     v.emplace_back(problems::random_input_grid(21, 25, 7, 0, 255));
-    expect_lane_identical(v);
+    expect_lane_identical_both_tiers(v);
   }
   {
     std::vector<problems::MaxSquareProblem> v;
     for (std::size_t k = 0; k < 8; ++k)
       v.emplace_back(problems::random_bit_grid(25 + k, 35 - k, 10 + k));
-    expect_lane_identical(v);
+    expect_lane_identical_both_tiers(v);
   }
   {
     std::vector<problems::MinNwNProblem> v;
     v.emplace_back(29, 35, 3);
     v.emplace_back(35, 29, 5);
     v.emplace_back(31, 31, 7);
-    expect_lane_identical(v);
+    expect_lane_identical_both_tiers(v);
   }
   {
     std::vector<problems::MaxNwProblem> v;
     v.emplace_back(problems::random_input_grid(22, 24, 8), 2);
     v.emplace_back(problems::random_input_grid(24, 22, 9), 4);
-    expect_lane_identical(v);
+    expect_lane_identical_both_tiers(v);
   }
 }
 
@@ -162,7 +258,7 @@ TEST(LanePacking, EarlyRetiringLanesSameBucket) {
   for (std::size_t k = 0; k < 8; ++k)
     v.emplace_back(rand_str(257 + 28 * k, 70 + k),
                    rand_str(480 - 25 * k, 80 + k));
-  expect_lane_identical(v);
+  expect_lane_identical_both_tiers(v);
 }
 
 // Degenerate shapes (single-row, single-column, 2x2 tables) fail the

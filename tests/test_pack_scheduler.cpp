@@ -725,5 +725,45 @@ TEST(TunerCache, BatchTuneAutoSharesSweeps) {
   }
 }
 
+// tune_auto holds on the frontier tier too: submit_frontier requests go
+// through the same tuning cache (one sweep, then hits), and each solve
+// runs with the tuned split, which its stats report.
+TEST(TunerCache, BatchTuneAutoFrontierTier) {
+  constexpr std::size_t kRequests = 6;
+  RunConfig rc;
+  rc.mode = Mode::kHeterogeneous;  // auto params: t_switch/t_share unset
+  rc.storage = Storage::kFrontier;
+  RunConfig sweep = rc;
+  sweep.platform = BatchConfig{}.platform;
+  const TunerCache::Entry tuned =
+      TunerCache().lookup_or_tune(make_problem(96, 11), sweep);
+
+  BatchConfig bc;
+  bc.concurrency = 4;
+  bc.worker_threads = 0;
+  bc.tune_auto = true;
+  BatchEngine engine(bc);
+  std::vector<std::future<FrontierSolveResult<Problem>>> futures;
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    auto f = engine.submit_frontier(make_problem(96, 11 + k), rc);
+    ASSERT_TRUE(f.has_value());
+    futures.push_back(std::move(*f));
+  }
+  const BatchReport rep = engine.wait();
+  EXPECT_EQ(rep.tuner_lookups, kRequests);
+  EXPECT_EQ(rep.tuner_hits, kRequests - 1);
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    EXPECT_EQ(rep.items[k].solve.t_switch, tuned.params.t_switch) << k;
+    EXPECT_EQ(rep.items[k].solve.t_share, tuned.params.t_share) << k;
+    auto got = futures[k].get();
+    EXPECT_TRUE(got.table.frontier());
+    RunConfig serial;
+    serial.mode = Mode::kCpuSerial;
+    const auto want = solve(make_problem(96, 11 + k), serial).table;
+    EXPECT_EQ(got.table.at(96, 96), want.at(96, 96)) << k;
+    EXPECT_EQ(got.table.at(50, 40), want.at(50, 40)) << k;
+  }
+}
+
 }  // namespace
 }  // namespace lddp
